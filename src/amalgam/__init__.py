@@ -22,7 +22,6 @@ from .algebra import (
     evaluate,
     format_term,
     format_type,
-    type_equal,
     type_rekey,
     type_remove,
     type_restrict,
@@ -35,7 +34,6 @@ from .campaigns import (
     check_composition_equivalence,
 )
 from .compose import (
-    ComposedGraph,
     MergePartition,
     NodeLabelConflictError,
     SGraphRequiredError,
@@ -47,7 +45,6 @@ from .compose import (
     merge_relation,
     parallel_compose,
     parallel_compose_classic,
-    parallel_compose_traced,
     quotient,
 )
 from .graphs import (

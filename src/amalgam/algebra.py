@@ -60,10 +60,6 @@ class Slot:
             raise ValueError("slot rename map must be injective")
 
 
-def type_equal(a: GraphType, b: GraphType) -> bool:
-    return a == b
-
-
 def type_remove(t: GraphType, labels) -> GraphType:
     drop = set(labels)
     return GraphType({k: s for k, s in t.entries.items() if k not in drop})

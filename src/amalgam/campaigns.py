@@ -28,7 +28,6 @@ from .algebra import (
     Slot,
     Undefined,
     apply,
-    type_equal,
 )
 from .compose import (
     SGraphRequiredError,
@@ -101,6 +100,29 @@ def _bounds_document(bounds: EnumerationBounds) -> dict:
 DEFAULT_EQUIVALENCE_BOUNDS = EnumerationBounds(sgraphs_only=True)
 
 
+def _population(
+    bounds: EnumerationBounds, pair_budget: int
+) -> tuple[list[MsGraph], list[MsGraph]]:
+    """Every graph within the bounds, and a disjoint copy of each.
+
+    Raises CapacityError when the ordered pairs exceed ``pair_budget``.  A
+    copy only depends on the ids in play, so one copy per graph, primed clear
+    of every id in the population, serves every pair; compose_disjoint still
+    enforces disjointness per pair.
+    """
+    population = count_graphs(bounds)
+    if population * population > pair_budget:
+        raise CapacityError(
+            f"{population} graphs make {population * population} ordered pairs, "
+            f"over the budget of {pair_budget}"
+        )
+    graphs = list(enumerate_graphs(bounds))
+    all_ids: set[str] = set()
+    for g in graphs:
+        all_ids.update(g.base.vertex_ids())
+    return graphs, [disjoint_copy(h, all_ids)[0] for h in graphs]
+
+
 def check_composition_equivalence(
     bounds: EnumerationBounds | None = None, *, pair_budget: int = PAIR_BUDGET
 ) -> CampaignReport:
@@ -118,14 +140,7 @@ def check_composition_equivalence(
             "equivalence campaign needs sgraphs_only bounds; the glue-based "
             "reference is undefined on multi-label graphs"
         )
-    population = count_graphs(bounds)
-    if population * population > pair_budget:
-        raise CapacityError(
-            f"{population} graphs make {population * population} ordered pairs, "
-            f"over the budget of {pair_budget}"
-        )
-
-    graphs = list(enumerate_graphs(bounds))
+    graphs, copies = _population(bounds, pair_budget)
     failures: list[Failure] = []
 
     def fail(g: MsGraph, h: MsGraph, expected: str, observed: str) -> None:
@@ -136,14 +151,6 @@ def check_composition_equivalence(
                 observed,
             )
         )
-
-    # The per-pair copy step only depends on the ids in play, so hoist it:
-    # one disjoint copy per right operand, primed clear of every id in the
-    # population.  compose_disjoint still enforces disjointness per pair.
-    all_ids: set[str] = set()
-    for g in graphs:
-        all_ids.update(g.base.vertex_ids())
-    copies = [disjoint_copy(h, all_ids)[0] for h in graphs]
 
     for g in graphs:
         g_sources = g.sources
@@ -293,7 +300,7 @@ def check_apply_reduction(*, trials: int = 10_000, seed: int = 0) -> CampaignRep
             )
             continue
         if res_orig is not None and res_rel is not None:
-            if not type_equal(res_orig.type, res_rel.type):
+            if res_orig.type != res_rel.type:
                 failures.append(
                     Failure(
                         _instance_document(label, functor, argument),
@@ -334,12 +341,7 @@ def check_algebraic_properties(
     and any violation is recorded as a finding, not a failure.
     """
     bounds = bounds or DEFAULT_EQUIVALENCE_BOUNDS
-    population = count_graphs(bounds)
-    if population * population > pair_budget:
-        raise CapacityError(
-            f"{population} graphs make too many pairs for the budget of {pair_budget}"
-        )
-    graphs = list(enumerate_graphs(bounds))
+    graphs, copies = _population(bounds, pair_budget)
     empty = MsGraph()
     failures: list[Failure] = []
     findings: list[Failure] = []
@@ -355,13 +357,6 @@ def check_algebraic_properties(
                     "result not isomorphic to the operand",
                 )
             )
-
-    # Copies are id-driven, so prepare one per operand up front (see the
-    # equivalence campaign); each composition still checks disjointness.
-    all_ids: set[str] = set()
-    for g in graphs:
-        all_ids.update(g.base.vertex_ids())
-    copies = [disjoint_copy(h, all_ids)[0] for h in graphs]
 
     for i, g in enumerate(graphs):
         for j in range(i, len(graphs)):

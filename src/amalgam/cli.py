@@ -21,11 +21,21 @@ from .campaigns import (
 )
 from .compose import parallel_compose, parallel_compose_classic
 from .graphs import EnumerationBounds, GraphError, MsGraph, isomorphic
-from .serialize import export_dot, parse_graph, parse_lexicon, parse_term, serialize_graph
+from .serialize import (
+    SchemaError,
+    export_dot,
+    parse_graph,
+    parse_lexicon,
+    parse_term,
+    serialize_graph,
+)
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path}: not valid UTF-8: {err}") from err
 
 
 def _emit_graph(g: MsGraph, fmt: str) -> None:
@@ -118,9 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--max-edges", type=int, default=2)
     bounds.add_argument("--labels", default="a,b,rt", help="comma-separated source labels")
 
-    sample = argparse.ArgumentParser(add_help=False)
-    sample.add_argument("--seed", type=int, default=0)
-    sample.add_argument("--trials", type=int, default=None)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("eval", parents=[fmt], help="evaluate a term against a lexicon")
     p.add_argument("--lexicon", required=True)
@@ -146,23 +155,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check-equivalence",
-        parents=[bounds, sample],
+        parents=[bounds],
         help="exhaustive merge-vs-glue composition sweep",
     )
     p.set_defaults(func=_cmd_check_equivalence)
 
     p = sub.add_parser(
         "check-reduction",
-        parents=[sample],
+        parents=[seed],
         help="randomized original-vs-relaxed apply agreement",
     )
+    p.add_argument("--trials", type=int, default=10_000)
     p.set_defaults(func=_cmd_check_reduction)
 
     p = sub.add_parser(
         "check-properties",
-        parents=[bounds, sample],
+        parents=[bounds, seed],
         help="commutativity, identity, and sampled associativity",
     )
+    p.add_argument("--trials", type=int, default=1_000)
     p.set_defaults(func=_cmd_check_properties)
 
     return parser
@@ -170,10 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "trials", None) is None:
-        defaults = {"check-reduction": 10_000, "check-properties": 1_000}
-        if args.command in defaults:
-            args.trials = defaults[args.command]
     try:
         return args.func(args)
     except (GraphError, OSError) as err:

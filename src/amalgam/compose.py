@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .graphs import BaseGraph, Edge, GraphError, MsGraph, Vertex
 
@@ -51,12 +51,6 @@ class MergePartition:
             for m in members:
                 rep[m] = chosen
         return rep
-
-    def class_of(self, vertex_id: str) -> tuple[str, ...]:
-        for members in self.classes:
-            if vertex_id in members:
-                return members
-        raise VertexOverlapError(f"{vertex_id!r} is not in the partition universe")
 
 
 def fresh_ids(ids: Iterable[str], avoid: Iterable[str]) -> dict[str, str]:
@@ -171,42 +165,6 @@ def quotient(base: BaseGraph, partition: MergePartition) -> BaseGraph:
     return BaseGraph(vertices, edges)
 
 
-@dataclass(frozen=True)
-class ComposedGraph:
-    """A composition result together with how it was put together."""
-
-    result: MsGraph
-    h_copy: MsGraph
-    copy_map: Mapping[str, str]
-    partition: MergePartition
-
-
-def parallel_compose_traced(g: MsGraph, h: MsGraph) -> ComposedGraph:
-    """``parallel_compose`` plus the copy map and merge partition it used."""
-    h_prime, copy_map = disjoint_copy(h, g)
-    pairs = merge_relation(g, h_prime)
-    universe = g.base.vertex_ids() + h_prime.base.vertex_ids()
-    partition = equivalence_closure(pairs, universe, preferred=g.base.vertex_ids())
-    combined = BaseGraph(
-        g.base.vertices + h_prime.base.vertices, g.base.edges + h_prime.base.edges
-    )
-    quotiented = quotient(combined, partition)
-
-    rep = partition.representative_of
-    sources: dict[str, str] = {}
-    for a, v in g.sources.items():
-        sources[a] = rep[v]
-    for a, v in h_prime.sources.items():
-        r = rep[v]
-        prev = sources.get(a)
-        if prev is not None and prev != r:
-            # Cannot happen: a shared label relates both vertices, so the
-            # closure puts them in one class.  Checked, not assumed.
-            raise RuntimeError(f"source {a!r} resolves to two classes after merging")
-        sources[a] = r
-    return ComposedGraph(MsGraph(quotiented, sources), h_prime, copy_map, partition)
-
-
 def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
     """Compose ``g`` with an already vertex-disjoint copy of the second operand.
 
@@ -215,18 +173,15 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
     Disjointness is enforced, not assumed.
     """
     pairs = merge_relation(g, h_prime)
+    combined = BaseGraph(
+        g.base.vertices + h_prime.base.vertices, g.base.edges + h_prime.base.edges
+    )
     if not pairs:
         # Nothing to merge: the composition is a plain union.
-        combined = BaseGraph(
-            g.base.vertices + h_prime.base.vertices, g.base.edges + h_prime.base.edges
-        )
         return MsGraph(combined, {**g.sources, **h_prime.sources})
 
     universe = g.base.vertex_ids() + h_prime.base.vertex_ids()
     partition = equivalence_closure(pairs, universe, preferred=g.base.vertex_ids())
-    combined = BaseGraph(
-        g.base.vertices + h_prime.base.vertices, g.base.edges + h_prime.base.edges
-    )
     quotiented = quotient(combined, partition)
 
     rep = partition.representative_of

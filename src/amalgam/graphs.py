@@ -62,26 +62,12 @@ class BaseGraph:
 
     Vertex order and edge order are part of the value (they make
     serialization deterministic); semantic comparisons go through
-    isomorphism instead.
+    isomorphism instead.  The fields are kept as given, so pass tuples of
+    ``Vertex`` and ``Edge``; ``build_graph`` builds them from plain values.
     """
 
     vertices: tuple[Vertex, ...] = ()
     edges: tuple[Edge, ...] = ()
-
-    def __post_init__(self) -> None:
-        # Accept plain tuples for convenience; normalize to the named types.
-        vs = self.vertices
-        if type(vs) is not tuple or any(type(v) is not Vertex for v in vs):
-            object.__setattr__(
-                self,
-                "vertices",
-                tuple(v if isinstance(v, Vertex) else Vertex(*v) for v in vs),
-            )
-        es = self.edges
-        if type(es) is not tuple or any(type(e) is not Edge for e in es):
-            object.__setattr__(
-                self, "edges", tuple(e if isinstance(e, Edge) else Edge(*e) for e in es)
-            )
 
     @cached_property
     def _label_map(self) -> dict[str, str | None]:
@@ -143,13 +129,6 @@ class MsGraph:
         if not self.base.has_vertex(vertex_id):
             raise UnknownVertexError(f"unknown vertex {vertex_id!r}")
         return self._slab_map.get(vertex_id, frozenset())
-
-    def slab_set(self, vertex_ids: Iterable[str]) -> frozenset[str]:
-        """Union of slab over a vertex set; ids without labels contribute nothing."""
-        out: set[str] = set()
-        for v in vertex_ids:
-            out |= self._slab_map.get(v, frozenset())
-        return frozenset(out)
 
     def is_sgraph(self) -> bool:
         """True when no vertex carries more than one source label."""

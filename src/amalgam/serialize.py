@@ -98,12 +98,25 @@ def serialize_graph(g: MsGraph) -> str:
     return json.dumps(graph_to_document(g), indent=2) + "\n"
 
 
-def parse_graph(text: str) -> MsGraph:
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        keys = [k for k, _ in pairs]
+        duplicate = next(k for k in keys if keys.count(k) > 1)
+        raise SchemaError(f"duplicate key {duplicate!r}")
+    return doc
+
+
+def _load_json(text: str) -> Any:
+    """Parse JSON text; malformed text and repeated object keys raise SchemaError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise SchemaError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
-    return graph_from_document(doc)
+
+
+def parse_graph(text: str) -> MsGraph:
+    return graph_from_document(_load_json(text))
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +191,7 @@ def serialize_lexicon(lexicon: Mapping[str, AsGraph]) -> str:
 
 
 def parse_lexicon(text: str) -> dict[str, AsGraph]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
-    return lexicon_from_document(doc)
+    return lexicon_from_document(_load_json(text))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from amalgam import parse_graph
-from amalgam.cli import main
+from amalgam.cli import build_parser, main
 
 REFLEXIVE = "app_s(app_o(wash,self),raven)"
 
@@ -162,6 +162,27 @@ def test_dot_bad_schema(capsys, tmp_path):
     assert "unknown field" in err
 
 
+def test_dot_non_utf8_file(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "dot", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_dot_duplicate_key(capsys, tmp_path):
+    bad = tmp_path / "dup.json"
+    bad.write_text(
+        '{"vertices": [{"id": "a"}, {"id": "b"}], "edges": [], '
+        '"sources": {"rt": "a", "rt": "b"}}'
+    )
+    code, out, err = run(capsys, "dot", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "duplicate key 'rt'" in err
+
+
 def test_check_equivalence_tiny(capsys):
     code, out, err = run(
         capsys, "check-equivalence", "--max-vertices", "1", "--max-edges", "0"
@@ -203,3 +224,16 @@ def test_missing_required_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["eval", "--term", "raven"])
     assert err.value.code == 2
+
+
+def test_check_equivalence_takes_no_sampling_flags(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["check-equivalence", "--seed", "1"])
+    assert err.value.code == 2
+
+
+def test_campaign_trial_defaults():
+    parser = build_parser()
+    assert parser.parse_args(["check-reduction"]).trials == 10_000
+    assert parser.parse_args(["check-properties"]).trials == 1_000
+    assert parser.parse_args(["check-properties"]).seed == 0

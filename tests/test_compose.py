@@ -20,7 +20,6 @@ from amalgam import (
     merge_relation,
     parallel_compose,
     parallel_compose_classic,
-    parallel_compose_traced,
     quotient,
 )
 
@@ -84,7 +83,6 @@ def test_equivalence_closure_transitivity():
     assert part.classes == (("a", "b", "c"), ("d",))
     assert part.cross_section == ("a", "d")
     assert part.representative_of == {"a": "a", "b": "a", "c": "a", "d": "d"}
-    assert part.class_of("b") == ("a", "b", "c")
 
 
 def test_equivalence_closure_prefers_given_ids():
@@ -95,12 +93,6 @@ def test_equivalence_closure_prefers_given_ids():
 def test_equivalence_closure_rejects_foreign_pairs():
     with pytest.raises(VertexOverlapError):
         equivalence_closure([("a", "z")], "ab")
-
-
-def test_class_of_unknown_vertex():
-    part = equivalence_closure([], "ab")
-    with pytest.raises(VertexOverlapError):
-        part.class_of("z")
 
 
 def test_quotient_merges_and_remaps():
@@ -211,12 +203,17 @@ def test_compose_disjoint_enforces_disjointness(spread):
         compose_disjoint(spread, spread)
 
 
-def test_traced_agrees_with_plain(spread, stacked):
-    traced = parallel_compose_traced(spread, stacked)
-    assert traced.result == parallel_compose(spread, stacked)
-    assert traced.copy_map == {"u": "u'"}
-    assert traced.h_copy.sources == {"A": "u'", "B": "u'"}
-    assert set(traced.partition.representative_of.values()) == {"p"}
+def test_composition_steps_agree_with_parallel_compose(spread, stacked):
+    prime, copy_map = disjoint_copy(stacked, spread)
+    assert copy_map == {"u": "u'"}
+    assert prime.sources == {"A": "u'", "B": "u'"}
+    pairs = merge_relation(spread, prime)
+    universe = spread.base.vertex_ids() + prime.base.vertex_ids()
+    part = equivalence_closure(pairs, universe, preferred=spread.base.vertex_ids())
+    assert set(part.representative_of.values()) == {"p"}
+    result = compose_disjoint(spread, prime)
+    assert result == parallel_compose(spread, stacked)
+    assert result.base.vertex_ids() == ("p",)
 
 
 # --------------------------------------------------------------------------

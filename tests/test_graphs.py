@@ -36,8 +36,8 @@ def test_build_graph_accepts_ids_and_pairs():
     assert g.sources == {"rt": "a"}
 
 
-def test_base_graph_normalizes_plain_tuples():
-    base = BaseGraph((("a", None), ("b", "B")), (("a", "b", "e"),))
+def test_base_graph_vertex_accessors():
+    base = BaseGraph((Vertex("a"), Vertex("b", "B")), (Edge("a", "b", "e"),))
     assert base.vertices == (Vertex("a"), Vertex("b", "B"))
     assert base.edges == (Edge("a", "b", "e"),)
     assert base.vertex_ids() == ("a", "b")
@@ -70,7 +70,6 @@ def test_tau_src_slab(doubly_sourced):
     assert g.src("A") == "u" and g.src("B") == "u" and g.src("C") == "v"
     assert g.slab("u") == {"A", "B"}
     assert g.slab("v") == {"C"}
-    assert g.slab_set(["u", "v"]) == {"A", "B", "C"}
     with pytest.raises(MissingSourceError):
         g.src("D")
     with pytest.raises(UnknownVertexError):

@@ -14,11 +14,12 @@ from amalgam import (
     count_graphs,
     disjoint_copy,
     enumerate_graphs,
+    equivalence_closure,
     find_isomorphism,
     isomorphic,
+    merge_relation,
     parallel_compose,
     parallel_compose_classic,
-    parallel_compose_traced,
     parse_graph,
     parse_term,
     format_term,
@@ -129,13 +130,19 @@ def test_compose_preserves_left_sources_literally(g, h):
 def test_compose_roots_of_merge_classes_survive(g, h):
     # The general ms-graph guarantee: each result source is the chosen
     # representative of the class its left (or fresh right) vertex joined.
+    h_prime, _ = disjoint_copy(h, g)
     try:
-        traced = parallel_compose_traced(g, h)
+        out = compose_disjoint(g, h_prime)
     except NodeLabelConflictError:
         assume(False)
-    rep = traced.partition.representative_of
-    for label in g.tau:
-        assert traced.result.sources[label] == rep[g.sources[label]]
+    universe = g.base.vertex_ids() + h_prime.base.vertex_ids()
+    partition = equivalence_closure(
+        merge_relation(g, h_prime), universe, preferred=g.base.vertex_ids()
+    )
+    rep = partition.representative_of
+    for operand in (g, h_prime):
+        for label, v in operand.sources.items():
+            assert out.sources[label] == rep[v]
 
 
 @settings(deadline=None)
@@ -149,18 +156,13 @@ def test_compose_result_is_valid(g, h):
 @settings(deadline=None)
 @given(ms_graphs(), ms_graphs())
 def test_compose_entry_points_agree(g, h):
-    # All three entry points define exactly the same pairs and agree on them.
+    # Both entry points define exactly the same pairs and agree on them.
     out = try_compose(g, h)
-    try:
-        traced = parallel_compose_traced(g, h).result
-    except NodeLabelConflictError:
-        traced = None
     prepared, _ = disjoint_copy(h, g)
     try:
         fused = compose_disjoint(g, prepared)
     except NodeLabelConflictError:
         fused = None
-    assert traced == out
     assert fused == out
 
 

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,6 +120,17 @@ def test_parse_graph_reports_json_position():
     assert "line 1, column" in str(err.value)
 
 
+def test_parse_graph_rejects_duplicate_keys():
+    # Plain json.loads would keep the last value and load rt -> b silently.
+    text = (
+        '{"vertices": [{"id": "a"}, {"id": "b"}], "edges": [], '
+        '"sources": {"rt": "a", "rt": "b"}}'
+    )
+    with pytest.raises(SchemaError) as err:
+        parse_graph(text)
+    assert "duplicate key 'rt'" in str(err.value)
+
+
 # --------------------------------------------------------------------------
 # type and lexicon documents
 
@@ -160,6 +174,22 @@ def test_lexicon_round_trip_matches_fixture(fixtures_dir):
     assert serialize_lexicon(make_lexicon()) == text
 
 
+def test_regenerated_fixtures_match_disk(fixtures_dir):
+    # The script rebuilds every fixture from the library; --check fails on
+    # any byte that differs from the files on disk.
+    root = fixtures_dir.parent
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "regenerate_fixtures.py"), "--check"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_lexicon_diagnostics():
     with pytest.raises(SchemaError) as err:
         lexicon_from_document({"wash": {"graph": {"vertices": [], "edges": [], "sources": {}}}})
@@ -178,6 +208,14 @@ def test_lexicon_diagnostics():
     with pytest.raises(SchemaError) as err:
         lexicon_from_document(doc)
     assert "type domain" in str(err.value)
+
+
+def test_parse_lexicon_rejects_duplicate_keys(fixtures_dir):
+    text = (fixtures_dir / "lexicon.json").read_text(encoding="utf-8")
+    doubled = text.replace('"raven": {', '"raven": {"graph": {}, ', 1)
+    with pytest.raises(SchemaError) as err:
+        parse_lexicon(doubled)
+    assert "duplicate key 'graph'" in str(err.value)
 
 
 # --------------------------------------------------------------------------
