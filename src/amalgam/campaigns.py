@@ -175,7 +175,7 @@ def check_composition_equivalence(
                     "left operand's source assignments survive the composition",
                     f"labels {bad} moved",
                 )
-            if not g_ids <= set(merged.base.vertex_ids()):
+            if not g_ids <= {v.id for v in merged.base.vertices}:
                 fail(
                     g, h,
                     "every left-operand vertex is chosen as its class representative",

@@ -4,7 +4,8 @@ Subcommands: eval, compose, iso, dot, check-equivalence, check-reduction,
 check-properties.  Requested artifacts (graph documents, DOT, campaign
 reports) go to stdout; everything diagnostic goes to stderr.  Exit codes:
 0 success, 1 undefined application or non-isomorphic pair, 2 usage or data
-errors, 3 campaign failures.
+errors, 3 campaign failures, 4 internal error (an unexpected exception,
+reported as ``internal error: <type>: <message>`` instead of a traceback).
 """
 from __future__ import annotations
 
@@ -186,6 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -3,8 +3,15 @@
 Two graphs are composed by fusing equally-labeled source vertices.  With
 multiple labels per vertex the fusion is a genuine equivalence closure: the
 shared-label relation is closed reflexively, symmetrically and transitively,
-a cross-section picks one representative per class, and the disjoint union
-is quotiented onto those representatives.
+a cross-section picks one representative per class, and every class
+collapses onto its representative.
+
+Only vertices named by a shared label can merge, so ``compose_disjoint``
+closes the relation over just those vertices (every other vertex is a
+singleton class) and rebuilds the result in one pass over the operands,
+reusing every vertex and edge the merge leaves alone.  ``quotient`` keeps
+the dense construction over the whole disjoint union; it is the reference
+the sparse core is tested against.
 
 ``parallel_compose_classic`` keeps the older construction that simply glues
 the second graph's source vertices onto the first's.  It is only defined
@@ -14,10 +21,9 @@ independent reference implementation for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
-from .graphs import BaseGraph, Edge, GraphError, MsGraph, Vertex
+from .graphs import BaseGraph, Edge, GraphError, MsGraph, Vertex, _cached
 
 
 class NodeLabelConflictError(GraphError):
@@ -44,7 +50,7 @@ class MergePartition:
     classes: tuple[tuple[str, ...], ...]
     cross_section: tuple[str, ...]
 
-    @cached_property
+    @_cached
     def representative_of(self) -> dict[str, str]:
         rep = {}
         for members, chosen in zip(self.classes, self.cross_section):
@@ -54,15 +60,19 @@ class MergePartition:
 
 
 def fresh_ids(ids: Iterable[str], avoid: Iterable[str]) -> dict[str, str]:
-    """A fresh name for every id: ticks appended until clear of ``avoid``."""
-    used = set(avoid)
+    """A fresh name for every id: ticks appended until clear of ``avoid``.
+
+    A set, frozenset or dict ``avoid`` is looked up in place, not copied.
+    """
+    clear = avoid if isinstance(avoid, (set, frozenset, dict)) else set(avoid)
+    taken: set[str] = set()
     out: dict[str, str] = {}
     for v in ids:
         candidate = v + "'"
-        while candidate in used:
+        while candidate in clear or candidate in taken:
             candidate += "'"
         out[v] = candidate
-        used.add(candidate)
+        taken.add(candidate)
     return out
 
 def disjoint_copy(
@@ -73,7 +83,7 @@ def disjoint_copy(
     ``avoid`` is a graph or a bare collection of ids to steer clear of.
     Returns the copy and the id map from ``h`` vertices to copy vertices.
     """
-    avoid_ids = avoid.base.vertex_ids() if isinstance(avoid, MsGraph) else avoid
+    avoid_ids = avoid.base._id_set if isinstance(avoid, MsGraph) else avoid
     vmap = fresh_ids(h.base.vertex_ids(), avoid_ids)
     vertices = tuple(Vertex(vmap[v.id], v.label) for v in h.base.vertices)
     edges = tuple(Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges)
@@ -106,31 +116,26 @@ def equivalence_closure(
     """
     order = tuple(universe)
     parent = {v: v for v in order}
-
-    def find(v: str) -> str:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:  # path compression
-            parent[v], v = root, parent[v]
-        return root
-
     for a, b in pairs:
         if a not in parent or b not in parent:
             raise VertexOverlapError(f"pair ({a!r}, {b!r}) mentions ids outside the universe")
-        parent[find(a)] = find(b)
+        while parent[a] != a:  # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
 
     groups: dict[str, list[str]] = {}
     for v in order:
-        groups.setdefault(find(v), []).append(v)
-    classes = tuple(tuple(members) for members in groups.values())
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        groups.setdefault(root, []).append(v)
+    classes = tuple([tuple(members) for members in groups.values()])
 
     prefer = set(preferred)
-    chosen = []
-    for members in classes:
-        candidates = [m for m in members if m in prefer]
-        chosen.append(min(candidates) if candidates else min(members))
-    return MergePartition(order, classes, tuple(chosen))
+    chosen = tuple([min([m for m in members if m in prefer] or members) for members in classes])
+    return MergePartition(order, classes, chosen)
 
 
 def quotient(base: BaseGraph, partition: MergePartition) -> BaseGraph:
@@ -139,6 +144,10 @@ def quotient(base: BaseGraph, partition: MergePartition) -> BaseGraph:
     Edge endpoints are remapped; the edge multiset keeps its size, so merging
     the two ends of an edge produces a loop.  A class whose members carry two
     different node labels is a conflict and raises.
+
+    This is the dense construction: the partition covers every vertex of
+    ``base``.  ``compose_disjoint`` builds the same graph from the merged
+    vertices alone and is tested against it.
     """
     ids = base.vertex_ids()
     if len(ids) != len(partition.universe) or base._id_set != frozenset(partition.universe):
@@ -171,30 +180,71 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
     Same result as ``parallel_compose(g, h)`` whenever ``h_prime`` is a
     disjoint copy of ``h``; useful when the caller prepares copies up front.
     Disjointness is enforced, not assumed.
+
+    The closure runs over the vertices named by a shared label only, in
+    g-then-h_prime order, so its classes, representatives and conflicts are
+    those of the dense closure over the whole union.  The result is then
+    built in one pass over both operands; ``quotient`` over the union gives
+    the same value.  An edge endpoint, or an unshared source, that names no
+    vertex passes through unchanged.
     """
     pairs = merge_relation(g, h_prime)
-    combined = BaseGraph(
-        g.base.vertices + h_prime.base.vertices, g.base.edges + h_prime.base.edges
-    )
+    g_base, h_base = g.base, h_prime.base
     if not pairs:
         # Nothing to merge: the composition is a plain union.
-        return MsGraph(combined, {**g.sources, **h_prime.sources})
+        return MsGraph(
+            BaseGraph(g_base.vertices + h_base.vertices, g_base.edges + h_base.edges),
+            {**g.sources, **h_prime.sources},
+        )
 
-    universe = g.base.vertex_ids() + h_prime.base.vertex_ids()
-    partition = equivalence_closure(pairs, universe, preferred=g.base.vertex_ids())
-    quotiented = quotient(combined, partition)
+    named = {v for pair in pairs for v in pair}
+    g_named = tuple([v for v in g_base._ids if v in named])
+    universe = g_named + tuple([v for v in h_base._ids if v in named])
+    partition = equivalence_closure(pairs, universe, preferred=g_named)
 
-    rep = partition.representative_of
-    sources: dict[str, str] = {a: rep[v] for a, v in g.sources.items()}
+    g_labels, h_labels = g_base._label_map, h_base._label_map
+    moved: dict[str, str] = {}  # merged vertex -> its representative, if another
+    fused: dict[str, str] = {}  # representative -> the label it gains, if any
+    for members, chosen in zip(partition.classes, partition.cross_section):
+        label = None
+        for m in members:
+            own = g_labels[m] if m in g_labels else h_labels[m]
+            if own is not None and own != label:
+                if label is not None:
+                    found = {g_labels[x] if x in g_labels else h_labels[x] for x in members}
+                    found.discard(None)
+                    raise NodeLabelConflictError(
+                        f"vertices {list(members)} carry conflicting labels {sorted(found)}"
+                    )
+                label = own
+            if m != chosen:
+                moved[m] = chosen
+        if label is not None and g_labels[chosen] is None:
+            fused[chosen] = label
+
+    vertices = [
+        Vertex(v.id, fused[v.id]) if v.id in fused else v
+        for v in g_base.vertices
+        if v.id not in moved
+    ]
+    vertices += [v for v in h_base.vertices if v.id not in moved]
+    edges = [
+        Edge(moved.get(e.src, e.src), moved.get(e.dst, e.dst), e.label)
+        if e.src in moved or e.dst in moved
+        else e
+        for e in g_base.edges + h_base.edges
+    ]
+
+    sources: dict[str, str] = {a: moved.get(v, v) for a, v in g.sources.items()}
     for a, v in h_prime.sources.items():
-        r = rep[v]
+        r = moved.get(v, v)
         prev = sources.get(a)
         if prev is not None and prev != r:
             # Cannot happen: a shared label relates both vertices, so the
             # closure puts them in one class.  Checked, not assumed.
             raise RuntimeError(f"source {a!r} resolves to two classes after merging")
         sources[a] = r
-    return MsGraph(quotiented, sources)
+    return MsGraph(BaseGraph(tuple(vertices), tuple(edges)), sources)
 
 
 def parallel_compose(g: MsGraph, h: MsGraph) -> MsGraph:
@@ -223,29 +273,33 @@ def parallel_compose_classic(g: MsGraph, h: MsGraph) -> MsGraph:
 
     shared = g.tau & h.tau
     glue = {h.sources[a]: g.sources[a] for a in shared}
-    free = fresh_ids(
-        (v.id for v in h.base.vertices if v.id not in glue),
-        (v.id for v in g.base.vertices),
-    )
-    vmap = {**glue, **free}
+    g_labels = g.base._label_map
+    vmap = fresh_ids([v.id for v in h.base.vertices if v.id not in glue], g_labels)
+    vmap.update(glue)
 
-    labels: dict[str, str | None] = {v.id: v.label for v in g.base.vertices}
+    fused: dict[str, str] = {}  # glued g vertex -> the label it gains
     for v in h.base.vertices:
         if v.id in glue and v.label is not None:
             target = glue[v.id]
-            if labels[target] is None:
-                labels[target] = v.label
-            elif labels[target] != v.label:
+            current = fused.get(target, g_labels[target])
+            if current is None:
+                fused[target] = v.label
+            elif current != v.label:
                 raise NodeLabelConflictError(
                     f"glued vertex {target!r} would carry both "
-                    f"{labels[target]!r} and {v.label!r}"
+                    f"{current!r} and {v.label!r}"
                 )
 
-    vertices = tuple(Vertex(v.id, labels[v.id]) for v in g.base.vertices) + tuple(
-        Vertex(vmap[v.id], v.label) for v in h.base.vertices if v.id not in glue
+    g_vertices = g.base.vertices
+    if fused:
+        g_vertices = tuple(
+            [Vertex(v.id, fused[v.id]) if v.id in fused else v for v in g_vertices]
+        )
+    vertices = g_vertices + tuple(
+        [Vertex(vmap[v.id], v.label) for v in h.base.vertices if v.id not in glue]
     )
     edges = g.base.edges + tuple(
-        Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges
+        [Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges]
     )
     sources = dict(g.sources)
     for a, v in h.sources.items():

@@ -13,7 +13,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 ROOT_LABEL = "rt"
@@ -45,6 +44,28 @@ class CapacityError(GraphError):
     """An operation was asked to exceed its configured size budget."""
 
 
+class _cached:
+    """A computed attribute stored in the instance ``__dict__`` on first read.
+
+    ``functools.cached_property`` does the same but takes a lock on every
+    first read (Python 3.11), which costs more than the value on the small
+    graphs composition builds by the million.  Writing the instance
+    ``__dict__`` directly also works on frozen dataclasses.  Two threads
+    racing on a first read both compute the (equal) value; one store wins.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Vertex(NamedTuple):
     id: str
     label: str | None = None
@@ -69,15 +90,15 @@ class BaseGraph:
     vertices: tuple[Vertex, ...] = ()
     edges: tuple[Edge, ...] = ()
 
-    @cached_property
+    @_cached
     def _label_map(self) -> dict[str, str | None]:
         return {v.id: v.label for v in self.vertices}
 
-    @cached_property
+    @_cached
     def _ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
 
-    @cached_property
+    @_cached
     def _id_set(self) -> frozenset[str]:
         return frozenset(self._ids)
 
@@ -107,12 +128,12 @@ class MsGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sources", dict(self.sources))
 
-    @cached_property
+    @_cached
     def tau(self) -> frozenset[str]:
         """The set of source labels in use."""
         return frozenset(self.sources)
 
-    @cached_property
+    @_cached
     def _slab_map(self) -> dict[str, frozenset[str]]:
         acc: dict[str, set[str]] = {}
         for label, vertex_id in self.sources.items():
@@ -132,8 +153,7 @@ class MsGraph:
 
     def is_sgraph(self) -> bool:
         """True when no vertex carries more than one source label."""
-        values = self.sources.values()
-        return len(set(values)) == len(values)
+        return len(self._slab_map) == len(self.sources)
 
     def rename(self, mapping: Mapping[str, str]) -> MsGraph:
         """Simultaneously substitute source labels.

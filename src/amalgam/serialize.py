@@ -197,12 +197,22 @@ def parse_lexicon(text: str) -> dict[str, AsGraph]:
 # ---------------------------------------------------------------------------
 # term text
 
+# Deepest application nesting parse_term accepts.  Evaluation recurses once
+# per level, so this keeps every parsed term well inside Python's default
+# recursion limit of 1,000 frames; generated sentences nest a few dozen deep.
+_TERM_DEPTH_LIMIT = 256
+
+
 def _ident_char(c: str) -> bool:
     return c.isascii() and (c.isalnum() or c == "_")
 
 
 def parse_term(text: str) -> Term:
-    """Parse ``lexeme`` or ``app_<label>(term, term)`` with arbitrary whitespace."""
+    """Parse ``lexeme`` or ``app_<label>(term, term)`` with arbitrary whitespace.
+
+    Applications may nest at most 256 deep; a deeper term raises
+    TermSyntaxError.
+    """
     pos = 0
 
     def skip_ws() -> None:
@@ -230,7 +240,7 @@ def parse_term(text: str) -> Term:
             raise TermSyntaxError(f"expected {ch!r}", pos)
         pos += 1
 
-    def term() -> Term:
+    def term(depth: int) -> Term:
         nonlocal pos
         ident, start = read_ident()
         if ident.startswith("app_"):
@@ -242,16 +252,20 @@ def parse_term(text: str) -> Term:
                     raise TermSyntaxError(f"bad apply label {label!r}", start)
                 if label == ROOT_LABEL:
                     raise TermSyntaxError("cannot apply at the root label", start)
+                if depth == _TERM_DEPTH_LIMIT:
+                    raise TermSyntaxError(
+                        f"applications nest deeper than {_TERM_DEPTH_LIMIT} levels", start
+                    )
                 pos += 1
-                functor = term()
+                functor = term(depth + 1)
                 expect(",")
-                argument = term()
+                argument = term(depth + 1)
                 expect(")")
                 return App(label, functor, argument)
             pos = save  # plain lexeme that happens to start with app_
         return Leaf(ident)
 
-    result = term()
+    result = term(0)
     skip_ws()
     if pos != len(text):
         raise TermSyntaxError("unexpected trailing input", pos)

@@ -6,6 +6,8 @@ every criterion that ran.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 
 from amalgam import (
@@ -36,8 +38,21 @@ from amalgam import (
 )
 from conftest import record_criterion
 
+# sha256 of each full-size campaign report, as check_digest computes it.
+# A change that moves one of these changed what the campaign checked.
+EQUIVALENCE_DIGEST = "3c9f2b100ec56d9f6f7b4df929ebb533bc70ddf6acd95a418bd0dedeb67aa7ea"
+REDUCTION_DIGEST = "489c1b6397a9fd8558c95dfaa6db3fe1f926f5b5697c6fd4b04bc3a34377b709"
+PROPERTIES_DIGEST = "8b7ced0c20078754d2ff76d78f2619916a7f6646b32ac3376ac4c4ad6aa76d85"
+
 REFLEXIVE_TERM = App("s", App("o", Leaf("wash"), Leaf("self")), Leaf("raven"))
 TWO_PLACE_TERM = App("s", App("o", Leaf("wash"), Leaf("raven")), Leaf("raven"))
+
+
+def check_digest(report, pinned: str, problems: list[str]) -> None:
+    text = json.dumps(report.to_document(), indent=2, sort_keys=True) + "\n"
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    if digest != pinned:
+        problems.append(f"report digest {digest[:12]}… differs from the pinned {pinned[:12]}…")
 
 
 def verdict(number: int, name: str, problems: list[str]) -> None:
@@ -190,6 +205,7 @@ def test_criterion_6_equivalence_campaign():
         problems.append(f"{len(report.failures)} failing pairs")
     if report.cases_run != 1035 * 1035:
         problems.append(f"expected 1071225 ordered pairs, ran {report.cases_run}")
+    check_digest(report, EQUIVALENCE_DIGEST, problems)
     if elapsed >= 60:
         problems.append(f"took {elapsed:.1f}s, budget is 60s")
     verdict(6, "composition equivalence sweep", problems)
@@ -204,6 +220,7 @@ def test_criterion_7_reduction_campaign():
         problems.append(f"{len(report.failures)} disagreeing instances")
     if report.cases_run < 10_000:
         problems.append(f"only {report.cases_run} instances generated")
+    check_digest(report, REDUCTION_DIGEST, problems)
     if elapsed >= 60:
         problems.append(f"took {elapsed:.1f}s, budget is 60s")
     verdict(7, "apply reduction campaign", problems)
@@ -218,6 +235,7 @@ def test_criterion_8_algebraic_properties():
     expected_cases = population + population * (population + 1) // 2 + 1_000
     if report.cases_run != expected_cases:
         problems.append(f"expected {expected_cases} cases, ran {report.cases_run}")
+    check_digest(report, PROPERTIES_DIGEST, problems)
     if report.findings:
         # Findings keep the build green only if they reproduce exactly.
         again = check_algebraic_properties(trials=1_000, seed=0)

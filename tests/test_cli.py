@@ -5,7 +5,16 @@ import json
 
 import pytest
 
-from amalgam import parse_graph
+from amalgam import (
+    AsGraph,
+    EMPTY_TYPE,
+    GraphType,
+    Slot,
+    build_graph,
+    parse_graph,
+    serialize_lexicon,
+)
+from amalgam import cli
 from amalgam.cli import build_parser, main
 
 REFLEXIVE = "app_s(app_o(wash,self),raven)"
@@ -90,6 +99,52 @@ def test_eval_missing_lexicon_file(capsys, tmp_path):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+def _nested(depth: int) -> str:
+    term = "raven"
+    for _ in range(depth):
+        term = f"app_s(tag,{term})"
+    return term
+
+
+def test_eval_term_nesting_limit(capsys, tmp_path):
+    # Every level of app_s(tag, ...) is defined, so evaluation recurses the
+    # whole depth and adds one vertex per level.
+    tag = build_graph([("t", "tag"), "x"], [("t", "x", "ARG0")], {"rt": "t", "s": "x"})
+    raven = build_graph([("r", "raven")], [], {"rt": "r"})
+    path = tmp_path / "lexicon.json"
+    path.write_text(
+        serialize_lexicon(
+            {
+                "tag": AsGraph(tag, GraphType({"s": Slot()})),
+                "raven": AsGraph(raven, EMPTY_TYPE),
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "eval", "--lexicon", str(path), "--term", _nested(256))
+    assert code == 0
+    assert err == ""
+    assert len(parse_graph(out).base.vertices) == 257
+
+    for depth in (257, 1500):
+        code, out, err = run(capsys, "eval", "--lexicon", str(path), "--term", _nested(depth))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: applications nest deeper than 256 levels")
+        assert "Traceback" not in err
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, fixtures_dir):
+    def planted(args):
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(cli, "_cmd_dot", planted)
+    code, out, err = run(capsys, "dot", str(fixtures_dir / "sentence_reflexive.json"))
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: ValueError: planted fault\n"
 
 
 def test_compose_files(capsys, fixtures_dir):

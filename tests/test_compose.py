@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amalgam import (
     BaseGraph,
     Edge,
+    EnumerationBounds,
+    GraphError,
     MsGraph,
     NodeLabelConflictError,
     SGraphRequiredError,
@@ -14,6 +17,7 @@ from amalgam import (
     build_graph,
     compose_disjoint,
     disjoint_copy,
+    enumerate_graphs,
     equivalence_closure,
     fresh_ids,
     isomorphic,
@@ -214,6 +218,84 @@ def test_composition_steps_agree_with_parallel_compose(spread, stacked):
     result = compose_disjoint(spread, prime)
     assert result == parallel_compose(spread, stacked)
     assert result.base.vertex_ids() == ("p",)
+
+
+# --------------------------------------------------------------------------
+# the sparse core against the dense construction
+
+def _dense_compose(g: MsGraph, h_prime: MsGraph) -> MsGraph:
+    """Close over the whole disjoint union, then quotient it."""
+    pairs = merge_relation(g, h_prime)
+    union = BaseGraph(g.base.vertices + h_prime.base.vertices, g.base.edges + h_prime.base.edges)
+    if not pairs:
+        return MsGraph(union, {**g.sources, **h_prime.sources})
+    partition = equivalence_closure(pairs, union.vertex_ids(), preferred=g.base.vertex_ids())
+    rep = partition.representative_of
+    sources = {a: rep[v] for a, v in g.sources.items()}
+    sources.update((a, rep[v]) for a, v in h_prime.sources.items())
+    return MsGraph(quotient(union, partition), sources)
+
+
+def _outcome(compose, g: MsGraph, h_prime: MsGraph):
+    """Everything observable: vertex, edge and source order, or the error."""
+    try:
+        out = compose(g, h_prime)
+    except GraphError as err:
+        return type(err), str(err)
+    return out.base.vertices, out.base.edges, list(out.sources.items())
+
+
+def test_sparse_core_matches_dense_oracle_on_ms_population():
+    bounds = EnumerationBounds(
+        max_vertices=2, source_labels=("a", "b"), node_labels=("x", "y"), max_edges=1
+    )
+    graphs = list(enumerate_graphs(bounds))
+    copies = [disjoint_copy(h, {"v0", "v1"})[0] for h in graphs]
+    outcomes = {"merged": 0, "conflict": 0}
+    for g in graphs:
+        for h_prime in copies:
+            got = _outcome(compose_disjoint, g, h_prime)
+            assert got == _outcome(_dense_compose, g, h_prime)
+            if got[0] is NodeLabelConflictError:
+                outcomes["conflict"] += 1
+            elif len(got[0]) < len(g.base.vertices) + len(h_prime.base.vertices):
+                outcomes["merged"] += 1
+    assert outcomes["merged"] and outcomes["conflict"]
+
+
+@st.composite
+def graph_inputs(draw):
+    ids = draw(st.lists(st.sampled_from(("p", "q", "r", "s")), unique=True, max_size=4))
+    vertices = [(v, draw(st.sampled_from((None, "L", "M")))) for v in ids]
+    if not ids:
+        return build_graph([], [], {})
+    edge = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(("e", "f")))
+    edges = draw(st.lists(edge, max_size=4))
+    sources = draw(st.dictionaries(st.sampled_from(("a", "b", "c", "rt")), st.sampled_from(ids)))
+    return build_graph(vertices, edges, sources)
+
+
+@settings(deadline=None, max_examples=200)
+@given(graph_inputs(), graph_inputs())
+def test_sparse_core_matches_dense_oracle(g, h):
+    h_prime, _ = disjoint_copy(h, g)
+    assert _outcome(compose_disjoint, g, h_prime) == _outcome(_dense_compose, g, h_prime)
+
+
+def test_dangling_edge_endpoint_passes_through():
+    # Only merged vertices are remapped, so an edge to a vertex that does not
+    # exist passes through, with or without a shared label.
+    g = build_graph(["p"], [("p", "ghost", "e")], {"A": "p"})
+    shared = build_graph(["x"], [("x", "ghost", "f")], {"A": "x"})
+    apart = build_graph(["x"], [("x", "ghost", "f")], {"B": "x"})
+    assert compose_disjoint(g, shared).base.edges == (
+        Edge("p", "ghost", "e"),
+        Edge("p", "ghost", "f"),
+    )
+    assert compose_disjoint(g, apart).base.edges == (
+        Edge("p", "ghost", "e"),
+        Edge("x", "ghost", "f"),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from amalgam import (
     is_valid,
     validate,
 )
+from amalgam.graphs import _cached
 
 
 @pytest.fixture
@@ -79,6 +80,26 @@ def test_tau_src_slab(doubly_sourced):
 def test_slab_of_unlabeled_vertex_is_empty():
     g = build_graph(["a", "b"], [], {"rt": "a"})
     assert g.slab("b") == frozenset()
+
+
+def test_cached_attribute_computes_once_on_a_frozen_dataclass():
+    calls = []
+
+    @dataclasses.dataclass(frozen=True)
+    class Box:
+        value: int
+
+        @_cached
+        def doubled(self) -> int:
+            calls.append(self.value)
+            return 2 * self.value
+
+    box = Box(3)
+    assert box.doubled == 6
+    assert box.doubled == 6
+    assert calls == [3]
+    assert vars(box)["doubled"] == 6  # later reads skip the descriptor
+    assert box == Box(3)  # the cached value is not part of the value
 
 
 def test_is_sgraph(doubly_sourced):

@@ -256,6 +256,15 @@ def test_parse_term_syntax_errors(text):
         parse_term(text)
 
 
+def test_parse_term_nesting_limit():
+    text = "raven"
+    for _ in range(256):
+        text = f"app_s(wash,{text})"
+    assert parse_term(text).label == "s"
+    with pytest.raises(TermSyntaxError, match="nest deeper than 256"):
+        parse_term(f"app_s(wash,{text})")
+
+
 def test_term_error_carries_position():
     with pytest.raises(TermSyntaxError) as err:
         parse_term("app_s(a,b")
