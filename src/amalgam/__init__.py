@@ -64,7 +64,6 @@ from .graphs import (
     count_graphs,
     enumerate_graphs,
     find_isomorphism,
-    is_valid,
     isomorphic,
     validate,
 )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Union
 
 from .compose import parallel_compose
-from .graphs import GraphError, MsGraph, RenameCollisionError, ROOT_LABEL, validate
+from .graphs import CapacityError, GraphError, MsGraph, RenameCollisionError, ROOT_LABEL, validate
 
 
 class LexiconError(GraphError):
@@ -38,9 +38,6 @@ class GraphType:
         object.__setattr__(self, "entries", dict(self.entries))
         if ROOT_LABEL in self.entries:
             raise ValueError("the root label cannot be an open slot")
-
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.entries)
 
 
 EMPTY_TYPE = GraphType()
@@ -273,6 +270,12 @@ def format_term(t: Term) -> str:
     return f"app_{t.label}({format_term(t.functor)},{format_term(t.argument)})"
 
 
+# Deepest application nesting evaluate and parse_term accept.  Evaluation
+# recurses once per level, so this keeps well inside Python's default
+# recursion limit of 1,000 frames; generated sentences nest a few dozen deep.
+_TERM_DEPTH_LIMIT = 256
+
+
 def evaluate(
     term: Term, lexicon: Mapping[str, AsGraph], mode: ApplyMode = RELAXED
 ) -> AsGraph | Undefined:
@@ -280,20 +283,30 @@ def evaluate(
 
     An undefined application anywhere makes the whole term undefined; the
     returned Undefined names the innermost failing application.
+    Applications may nest at most 256 deep; a deeper term raises
+    CapacityError.
     """
-    if isinstance(term, Leaf):
-        if term.lexeme not in lexicon:
-            raise LexiconError(f"unknown lexeme {term.lexeme!r}")
-        return lexicon[term.lexeme]
-    if isinstance(term, App):
-        functor = evaluate(term.functor, lexicon, mode)
-        if isinstance(functor, Undefined):
-            return functor
-        argument = evaluate(term.argument, lexicon, mode)
-        if isinstance(argument, Undefined):
-            return argument
-        result = apply(term.label, functor, argument, mode)
-        if isinstance(result, Undefined) and result.subterm is None:
-            result = replace(result, subterm=format_term(term))
-        return result
-    raise TypeError(f"not a term: {term!r}")
+
+    def value(t: Term, depth: int) -> AsGraph | Undefined:
+        if isinstance(t, Leaf):
+            if t.lexeme not in lexicon:
+                raise LexiconError(f"unknown lexeme {t.lexeme!r}")
+            return lexicon[t.lexeme]
+        if isinstance(t, App):
+            if depth == _TERM_DEPTH_LIMIT:
+                raise CapacityError(
+                    f"applications nest deeper than {_TERM_DEPTH_LIMIT} levels"
+                )
+            functor = value(t.functor, depth + 1)
+            if isinstance(functor, Undefined):
+                return functor
+            argument = value(t.argument, depth + 1)
+            if isinstance(argument, Undefined):
+                return argument
+            result = apply(t.label, functor, argument, mode)
+            if isinstance(result, Undefined) and result.subterm is None:
+                result = replace(result, subterm=format_term(t))
+            return result
+        raise TypeError(f"not a term: {t!r}")
+
+    return value(term, 0)

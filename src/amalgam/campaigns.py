@@ -16,7 +16,7 @@ Reports are plain data and deterministic for a given (bounds, seed).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .algebra import (
     AsGraph,
@@ -85,36 +85,23 @@ class CampaignReport:
         }
 
 
-def _bounds_document(bounds: EnumerationBounds) -> dict:
-    return {
-        "max_vertices": bounds.max_vertices,
-        "source_labels": list(bounds.source_labels),
-        "node_labels": list(bounds.node_labels),
-        "edge_labels": list(bounds.edge_labels),
-        "max_edges": bounds.max_edges,
-        "sgraphs_only": bounds.sgraphs_only,
-        "allow_loops": bounds.allow_loops,
-    }
-
-
 DEFAULT_EQUIVALENCE_BOUNDS = EnumerationBounds(sgraphs_only=True)
 
 
-def _population(
-    bounds: EnumerationBounds, pair_budget: int
-) -> tuple[list[MsGraph], list[MsGraph]]:
+def _population(bounds: EnumerationBounds) -> tuple[list[MsGraph], list[MsGraph]]:
     """Every graph within the bounds, and a disjoint copy of each.
 
-    Raises CapacityError when the ordered pairs exceed ``pair_budget``.  A
-    copy only depends on the ids in play, so one copy per graph, primed clear
-    of every id in the population, serves every pair; compose_disjoint still
+    Raises CapacityError, before enumerating any graph, when the ordered
+    pairs (``count_graphs(bounds)`` squared) are over ``PAIR_BUDGET``.  A copy
+    only depends on the ids in play, so one copy per graph, primed clear of
+    every id in the population, serves every pair; compose_disjoint still
     enforces disjointness per pair.
     """
     population = count_graphs(bounds)
-    if population * population > pair_budget:
+    if population * population > PAIR_BUDGET:
         raise CapacityError(
             f"{population} graphs make {population * population} ordered pairs, "
-            f"over the budget of {pair_budget}"
+            f"over the budget of {PAIR_BUDGET}"
         )
     graphs = list(enumerate_graphs(bounds))
     all_ids: set[str] = set()
@@ -123,9 +110,7 @@ def _population(
     return graphs, [disjoint_copy(h, all_ids)[0] for h in graphs]
 
 
-def check_composition_equivalence(
-    bounds: EnumerationBounds | None = None, *, pair_budget: int = PAIR_BUDGET
-) -> CampaignReport:
+def check_composition_equivalence(bounds: EnumerationBounds | None = None) -> CampaignReport:
     """Differential sweep of merge-based vs glue-based composition.
 
     Enumerates every graph within the bounds (which must be restricted to
@@ -140,7 +125,7 @@ def check_composition_equivalence(
             "equivalence campaign needs sgraphs_only bounds; the glue-based "
             "reference is undefined on multi-label graphs"
         )
-    graphs, copies = _population(bounds, pair_budget)
+    graphs, copies = _population(bounds)
     failures: list[Failure] = []
 
     def fail(g: MsGraph, h: MsGraph, expected: str, observed: str) -> None:
@@ -184,7 +169,7 @@ def check_composition_equivalence(
 
     return CampaignReport(
         campaign="composition-equivalence",
-        parameters={"bounds": _bounds_document(bounds)},
+        parameters={"bounds": asdict(bounds)},
         cases_run=len(graphs) ** 2,
         failures=tuple(failures),
     )
@@ -332,7 +317,6 @@ def check_algebraic_properties(
     *,
     trials: int = 1_000,
     seed: int = 0,
-    pair_budget: int = PAIR_BUDGET,
 ) -> CampaignReport:
     """Commutativity (exhaustive), identity, and associativity (sampled).
 
@@ -341,7 +325,7 @@ def check_algebraic_properties(
     and any violation is recorded as a finding, not a failure.
     """
     bounds = bounds or DEFAULT_EQUIVALENCE_BOUNDS
-    graphs, copies = _population(bounds, pair_budget)
+    graphs, copies = _population(bounds)
     empty = MsGraph()
     failures: list[Failure] = []
     findings: list[Failure] = []
@@ -393,7 +377,7 @@ def check_algebraic_properties(
     return CampaignReport(
         campaign="algebraic-properties",
         parameters={
-            "bounds": _bounds_document(bounds),
+            "bounds": asdict(bounds),
             "trials": trials,
             "seed": seed,
         },

@@ -44,13 +44,13 @@ def _emit_graph(g: MsGraph, fmt: str) -> None:
     sys.stdout.write(text)
 
 
-def _bounds_from(args: argparse.Namespace, *, sgraphs_only: bool) -> EnumerationBounds:
+def _bounds_from(args: argparse.Namespace) -> EnumerationBounds:
     labels = tuple(s for s in args.labels.split(",") if s)
     return EnumerationBounds(
         max_vertices=args.max_vertices,
         source_labels=labels,
         max_edges=args.max_edges,
-        sgraphs_only=sgraphs_only,
+        sgraphs_only=True,
     )
 
 
@@ -100,7 +100,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_equivalence(args: argparse.Namespace) -> int:
-    return _emit_report(check_composition_equivalence(_bounds_from(args, sgraphs_only=True)))
+    return _emit_report(check_composition_equivalence(_bounds_from(args)))
 
 
 def _cmd_check_reduction(args: argparse.Namespace) -> int:
@@ -109,7 +109,7 @@ def _cmd_check_reduction(args: argparse.Namespace) -> int:
 
 def _cmd_check_properties(args: argparse.Namespace) -> int:
     report = check_algebraic_properties(
-        _bounds_from(args, sgraphs_only=True), trials=args.trials, seed=args.seed
+        _bounds_from(args), trials=args.trials, seed=args.seed
     )
     return _emit_report(report)
 

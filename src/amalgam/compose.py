@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import BaseGraph, Edge, GraphError, MsGraph, Vertex, _cached
+from .graphs import (
+    BaseGraph, Edge, GraphError, MsGraph, UnknownVertexError, Vertex, _cached, validate
+)
 
 
 class NodeLabelConflictError(GraphError):
@@ -82,12 +84,18 @@ def disjoint_copy(
 
     ``avoid`` is a graph or a bare collection of ids to steer clear of.
     Returns the copy and the id map from ``h`` vertices to copy vertices.
+    An edge endpoint or a source that names no vertex of ``h`` raises
+    UnknownVertexError.
     """
     avoid_ids = avoid.base._id_set if isinstance(avoid, MsGraph) else avoid
     vmap = fresh_ids(h.base.vertex_ids(), avoid_ids)
     vertices = tuple(Vertex(vmap[v.id], v.label) for v in h.base.vertices)
-    edges = tuple(Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges)
-    sources = {a: vmap[v] for a, v in h.sources.items()}
+    try:
+        edges = tuple(Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges)
+        sources = {a: vmap[v] for a, v in h.sources.items()}
+    except KeyError:
+        dangling = [p.detail for p in validate(h) if p.invariant.startswith("dangling")]
+        raise UnknownVertexError("; ".join(dangling)) from None
     return MsGraph(BaseGraph(vertices, edges), sources), vmap
 
 

@@ -20,7 +20,7 @@ ROOT_LABEL = "rt"
 # Default ceiling for the isomorphism search; raised via parameter if needed.
 ISO_VERTEX_LIMIT = 64
 
-# Default ceiling on how many graphs enumerate_graphs may produce.
+# Ceiling on how many graphs enumerate_graphs may produce.
 ENUMERATION_BUDGET = 500_000
 
 
@@ -140,11 +140,6 @@ class MsGraph:
             acc.setdefault(vertex_id, set()).add(label)
         return {v: frozenset(ls) for v, ls in acc.items()}
 
-    def src(self, label: str) -> str:
-        if label not in self.sources:
-            raise MissingSourceError(f"no source labeled {label!r}")
-        return self.sources[label]
-
     def slab(self, vertex_id: str) -> frozenset[str]:
         """All source labels naming the given vertex."""
         if not self.base.has_vertex(vertex_id):
@@ -209,52 +204,44 @@ def build_graph(
 @dataclass(frozen=True)
 class Violation:
     invariant: str
-    subject: str
     detail: str
 
 
 def validate(g: MsGraph) -> list[Violation]:
-    """Check structural invariants; an empty list means the graph is well formed."""
+    """Check structural invariants, one Violation per problem found.
+
+    An empty list means the graph is well formed.  ``invariant`` names the
+    broken rule and ``detail`` describes the problem.
+    """
     out: list[Violation] = []
     seen: set[str] = set()
     for v in g.base.vertices:
         if v.id in seen:
-            out.append(
-                Violation("duplicate vertex id", v.id, f"vertex id {v.id!r} appears twice")
-            )
+            out.append(Violation("duplicate vertex id", f"vertex id {v.id!r} appears twice"))
         seen.add(v.id)
         if v.label == "":
-            out.append(Violation("empty node label", v.id, f"vertex {v.id!r} has an empty label"))
+            out.append(Violation("empty node label", f"vertex {v.id!r} has an empty label"))
     for e in g.base.edges:
         for endpoint in (e.src, e.dst):
             if endpoint not in seen:
                 out.append(
                     Violation(
                         "dangling edge endpoint",
-                        endpoint,
                         f"edge {e.src!r}->{e.dst!r} uses missing vertex {endpoint!r}",
                     )
                 )
         if e.label == "":
-            out.append(
-                Violation("empty edge label", f"{e.src}->{e.dst}", "edges must carry a label")
-            )
+            out.append(Violation("empty edge label", "edges must carry a label"))
     for label, vertex_id in g.sources.items():
         if label == "":
-            out.append(Violation("empty source label", vertex_id, "source labels must be non-empty"))
+            out.append(Violation("empty source label", "source labels must be non-empty"))
         if vertex_id not in seen:
             out.append(
                 Violation(
-                    "dangling source",
-                    label,
-                    f"source {label!r} names missing vertex {vertex_id!r}",
+                    "dangling source", f"source {label!r} names missing vertex {vertex_id!r}"
                 )
             )
     return out
-
-
-def is_valid(g: MsGraph) -> bool:
-    return not validate(g)
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +424,19 @@ def count_graphs(bounds: EnumerationBounds) -> int:
     return total
 
 
-def enumerate_graphs(
-    bounds: EnumerationBounds, *, budget: int = ENUMERATION_BUDGET
-) -> Iterator[MsGraph]:
+def enumerate_graphs(bounds: EnumerationBounds) -> Iterator[MsGraph]:
     """Every graph within the bounds, exactly once, in a fixed order.
 
     Order is lexicographic over (vertex count, node labeling, source
     assignment, edge multiset), so runs are reproducible.  Raises
-    CapacityError when the space is larger than ``budget``.
+    CapacityError, before yielding any graph, when ``count_graphs(bounds)``
+    is over ``ENUMERATION_BUDGET``.
     """
     total = count_graphs(bounds)
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise CapacityError(
-            f"enumeration space has {total} graphs, over the budget of {budget}"
+            f"enumeration space has {total} graphs, "
+            f"over the budget of {ENUMERATION_BUDGET}"
         )
     label_options: tuple[str | None, ...] = (None,) + tuple(bounds.node_labels)
     for n in range(bounds.max_vertices + 1):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from .algebra import App, AsGraph, GraphType, Leaf, Slot, Term
+from .algebra import App, AsGraph, GraphType, Leaf, Slot, Term, _TERM_DEPTH_LIMIT
 from .graphs import GraphError, MsGraph, ROOT_LABEL, build_graph, validate
 
 
@@ -196,12 +196,6 @@ def parse_lexicon(text: str) -> dict[str, AsGraph]:
 
 # ---------------------------------------------------------------------------
 # term text
-
-# Deepest application nesting parse_term accepts.  Evaluation recurses once
-# per level, so this keeps every parsed term well inside Python's default
-# recursion limit of 1,000 frames; generated sentences nest a few dozen deep.
-_TERM_DEPTH_LIMIT = 256
-
 
 def _ident_char(c: str) -> bool:
     return c.isascii() and (c.isalnum() or c == "_")

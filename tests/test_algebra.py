@@ -7,6 +7,7 @@ from amalgam import (
     App,
     ApplyMode,
     AsGraph,
+    CapacityError,
     EMPTY_TYPE,
     GraphType,
     Leaf,
@@ -41,8 +42,8 @@ def test_graph_type_rejects_root_entry():
 
 def test_graph_type_domain():
     t = GraphType({"s": Slot(), "o": Slot(NESTED)})
-    assert t.domain() == {"s", "o"}
-    assert EMPTY_TYPE.domain() == frozenset()
+    assert set(t.entries) == {"s", "o"}
+    assert set(EMPTY_TYPE.entries) == set()
 
 
 def test_slot_rename_must_be_injective():
@@ -186,8 +187,8 @@ def test_apply_defined_reflexive(lexicon):
     g = out.graph
     assert len(g.base.vertices) == 2
     assert g.tau == {"rt", "s"}
-    root = g.src("rt")
-    other = g.src("s")
+    root = g.sources["rt"]
+    other = g.sources["s"]
     assert g.base.label_of(root) == "wash"
     assert g.base.label_of(other) is None
     assert sorted(e.label for e in g.base.edges) == ["ARG0", "ARG1"]
@@ -214,7 +215,7 @@ def test_apply_slot_rename_moves_argument_sources():
     out = apply("o", functor, argument, ORIGINAL)
     assert isinstance(out, AsGraph)
     assert out.type == GraphType({"c": Slot()})
-    assert out.graph.src("c") == "x1'"
+    assert out.graph.sources["c"] == "x1'"
 
 
 def test_apply_slot_rename_collision_is_a_hard_error():
@@ -290,6 +291,30 @@ def test_evaluate_reports_innermost_failure(lexicon):
     assert isinstance(out, Undefined)
     assert out.subterm == "app_o(wash,self)"
     assert out.condition == "condition 2"
+
+
+def _tag_chain(depth: int) -> App | Leaf:
+    term = Leaf("raven")
+    for _ in range(depth):
+        term = App("s", Leaf("tag"), term)
+    return term
+
+
+def test_evaluate_nesting_limit():
+    # Every level of app_s(tag, ...) is defined, so evaluation recurses the
+    # whole depth and adds one vertex per level.
+    tag = build_graph([("t", "tag"), "x"], [("t", "x", "ARG0")], {"rt": "t", "s": "x"})
+    raven = build_graph([("r", "raven")], [], {"rt": "r"})
+    lexicon = {
+        "tag": AsGraph(tag, GraphType({"s": Slot()})),
+        "raven": AsGraph(raven, EMPTY_TYPE),
+    }
+    out = evaluate(_tag_chain(256), lexicon)
+    assert isinstance(out, AsGraph)
+    assert len(out.graph.base.vertices) == 257
+    for depth in (257, 1500):
+        with pytest.raises(CapacityError, match="nest deeper than 256 levels"):
+            evaluate(_tag_chain(depth), lexicon)
 
 
 def test_evaluate_argument_failure_propagates(lexicon):

@@ -13,9 +13,12 @@ from amalgam import (
     check_apply_reduction,
     check_composition_equivalence,
     count_graphs,
+    enumerate_graphs,
 )
 
 SMALL = EnumerationBounds(max_vertices=2, max_edges=1, sgraphs_only=True)
+# 7,678 graphs make 58.9M ordered pairs, over the campaigns' 4M pair budget.
+OVER_PAIR_BUDGET = EnumerationBounds(max_vertices=4, max_edges=2, sgraphs_only=True)
 
 
 def test_report_serialization():
@@ -55,8 +58,9 @@ def test_equivalence_refuses_ms_graph_bounds():
 
 
 def test_equivalence_respects_pair_budget():
-    with pytest.raises(CapacityError):
-        check_composition_equivalence(SMALL, pair_budget=10)
+    assert count_graphs(OVER_PAIR_BUDGET) == 7_678
+    with pytest.raises(CapacityError, match="7678 graphs make 58951684 ordered pairs"):
+        check_composition_equivalence(OVER_PAIR_BUDGET)
 
 
 def test_reduction_campaign_agrees_and_is_deterministic():
@@ -87,5 +91,13 @@ def test_properties_deterministic():
 
 
 def test_properties_respects_pair_budget():
-    with pytest.raises(CapacityError):
-        check_algebraic_properties(SMALL, trials=1, pair_budget=10)
+    with pytest.raises(CapacityError, match="7678 graphs make 58951684 ordered pairs"):
+        check_algebraic_properties(OVER_PAIR_BUDGET, trials=1)
+
+
+def test_enumeration_respects_its_budget():
+    # 717,714 graphs, over the 500,000 budget: refused before the first graph.
+    bounds = EnumerationBounds(max_vertices=7)
+    assert count_graphs(bounds) == 717_714
+    with pytest.raises(CapacityError, match="717714 graphs, over the budget of 500000"):
+        next(enumerate_graphs(bounds))

@@ -12,6 +12,7 @@ from amalgam import (
     MsGraph,
     NodeLabelConflictError,
     SGraphRequiredError,
+    UnknownVertexError,
     Vertex,
     VertexOverlapError,
     build_graph,
@@ -197,11 +198,6 @@ def test_compose_rejects_node_label_conflicts():
         parallel_compose(g, h)
 
 
-def test_compose_disjoint_matches_parallel_compose(spread, stacked):
-    prime, _ = disjoint_copy(stacked, spread)
-    assert compose_disjoint(spread, prime) == parallel_compose(spread, stacked)
-
-
 def test_compose_disjoint_enforces_disjointness(spread):
     with pytest.raises(VertexOverlapError):
         compose_disjoint(spread, spread)
@@ -296,6 +292,18 @@ def test_dangling_edge_endpoint_passes_through():
         Edge("p", "ghost", "e"),
         Edge("x", "ghost", "f"),
     )
+
+
+def test_parallel_compose_names_a_missing_vertex():
+    # The right operand is copied first, and the copy refuses an edge
+    # endpoint or a source that names no vertex.
+    g = build_graph(["p"], [], {"A": "p"})
+    dangling_edge = build_graph(["x"], [("x", "ghost", "e")], {"A": "x"})
+    dangling_source = build_graph(["x"], [], {"A": "x", "B": "ghost"})
+    with pytest.raises(UnknownVertexError, match="edge 'x'->'ghost' uses missing vertex 'ghost'"):
+        parallel_compose(g, dangling_edge)
+    with pytest.raises(UnknownVertexError, match="source 'B' names missing vertex 'ghost'"):
+        parallel_compose(g, dangling_source)
 
 
 # --------------------------------------------------------------------------

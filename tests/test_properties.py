@@ -72,10 +72,10 @@ def test_generated_graphs_are_valid(g):
 @given(ms_graphs())
 def test_src_and_slab_are_inverse(g):
     for label in g.tau:
-        assert label in g.slab(g.src(label))
+        assert label in g.slab(g.sources[label])
     for v in g.base.vertices:
         for label in g.slab(v.id):
-            assert g.src(label) == v.id
+            assert g.sources[label] == v.id
 
 
 @settings(deadline=None)
