@@ -15,6 +15,7 @@ mechanism behind reflexive readings) while guarding the problematic cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from typing import Mapping, Union
 
 from .compose import parallel_compose
@@ -123,27 +124,21 @@ class AsGraph:
             )
 
 
-@dataclass(frozen=True)
-class ApplyMode:
+class ApplyMode(Enum):
     """Which definedness conditions apply.
 
-    variant "original": conditions 1, 2, 3.
-    variant "relaxed": conditions 1, 2a, 2b, 4, 3; with ``strict_root`` the
-    slot label must also be clear of the argument's extra root labels.
-    ``strict_root`` has no effect on the original variant.
+    ORIGINAL: conditions 1, 2, 3.
+    RELAXED: conditions 1, 2a, 2b, 4, 3.
+    RELAXED_STRICT: the relaxed ladder, and condition 4 also requires the
+    slot label to be clear of the argument's extra root labels.
     """
 
-    variant: str = "relaxed"
-    strict_root: bool = False
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("original", "relaxed"):
-            raise ValueError(f"unknown apply variant {self.variant!r}")
+    ORIGINAL = "original"
+    RELAXED = "relaxed"
+    RELAXED_STRICT = "relaxed-strict"
 
 
-ORIGINAL = ApplyMode("original")
-RELAXED = ApplyMode("relaxed")
-RELAXED_STRICT = ApplyMode("relaxed", strict_root=True)
+ORIGINAL, RELAXED, RELAXED_STRICT = ApplyMode
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,10 @@ def apply(
     Returns the combined as-graph, or an Undefined naming the first failing
     condition.  Rename collisions and node-label conflicts during the graph
     work are bugs in the inputs, not type mismatches, and raise instead.
+    A ``mode`` that is not an ApplyMode raises TypeError.
     """
+    if not isinstance(mode, ApplyMode):
+        raise TypeError(f"mode must be an ApplyMode, not {mode!r}")
     if label == ROOT_LABEL:
         raise ValueError("cannot apply at the root label")
     t1, t2 = functor.type, argument.type
@@ -186,7 +184,7 @@ def apply(
         )
     slot = t1.entries[label]
 
-    if mode.variant == "original":
+    if mode is ORIGINAL:
         # condition 2: requested type matches the argument exactly
         if slot.requested != t2:
             return Undefined(
@@ -219,7 +217,7 @@ def apply(
             return Undefined(
                 "condition 4", f"{label!r} is an extra root label of the functor"
             )
-        if mode.strict_root and label in rlab2:
+        if mode is RELAXED_STRICT and label in rlab2:
             return Undefined(
                 "condition 4",
                 f"{label!r} is an extra root label of the argument",

@@ -276,31 +276,18 @@ def check_apply_reduction(*, trials: int = 10_000, seed: int = 0) -> CampaignRep
         kind_orig, res_orig = _apply_outcome(label, functor, argument, ORIGINAL)
         kind_rel, res_rel = _apply_outcome(label, functor, argument, RELAXED)
         if kind_orig != kind_rel:
-            failures.append(
-                Failure(
-                    _instance_document(label, functor, argument),
-                    "both modes agree on definedness",
-                    f"original={kind_orig}, relaxed={kind_rel}",
-                )
-            )
+            expected = "both modes agree on definedness"
+            observed = f"original={kind_orig}, relaxed={kind_rel}"
+        elif res_orig is None:
             continue
-        if res_orig is not None and res_rel is not None:
-            if res_orig.type != res_rel.type:
-                failures.append(
-                    Failure(
-                        _instance_document(label, functor, argument),
-                        "both modes produce the same result type",
-                        "types differ",
-                    )
-                )
-            elif not isomorphic(res_orig.graph, res_rel.graph):
-                failures.append(
-                    Failure(
-                        _instance_document(label, functor, argument),
-                        "both modes produce isomorphic result graphs",
-                        "graphs differ",
-                    )
-                )
+        elif res_orig.type != res_rel.type:
+            expected, observed = "both modes produce the same result type", "types differ"
+        elif not isomorphic(res_orig.graph, res_rel.graph):
+            expected = "both modes produce isomorphic result graphs"
+            observed = "graphs differ"
+        else:
+            continue
+        failures.append(Failure(_instance_document(label, functor, argument), expected, observed))
     return CampaignReport(
         campaign="apply-reduction",
         parameters={"trials": trials, "seed": seed},

@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: eval, compose, iso, dot, check-equivalence, check-reduction,
-check-properties.  Requested artifacts (graph documents, DOT, campaign
-reports) go to stdout; everything diagnostic goes to stderr.  Exit codes:
-0 success, 1 undefined application or non-isomorphic pair, 2 usage or data
-errors, 3 campaign failures, 4 internal error (an unexpected exception,
-reported as ``internal error: <type>: <message>`` instead of a traceback).
+check-properties; ``eval --mode`` takes an ApplyMode value: original,
+relaxed (the default) or relaxed-strict.  Requested artifacts (graph
+documents, DOT, campaign reports) go to stdout; everything diagnostic goes
+to stderr.  Exit codes: 0 success, 1 undefined application or non-isomorphic
+pair, 2 usage or data errors, 3 campaign failures, 4 internal error (an
+unexpected exception, reported as ``internal error: <type>: <message>``
+instead of a traceback).
 """
 from __future__ import annotations
 
@@ -67,8 +69,7 @@ def _emit_report(report) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     lexicon = parse_lexicon(_read(args.lexicon))
     term = parse_term(args.term)
-    mode = ApplyMode(args.mode, strict_root=args.strict_root)
-    result = evaluate(term, lexicon, mode)
+    result = evaluate(term, lexicon, ApplyMode(args.mode))
     if isinstance(result, Undefined):
         print(result.message(), file=sys.stderr)
         return 1
@@ -135,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[fmt], help="evaluate a term against a lexicon")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--term", required=True)
-    p.add_argument("--mode", choices=("original", "relaxed"), default="relaxed")
-    p.add_argument("--strict-root", action="store_true")
+    p.add_argument("--mode", choices=[m.value for m in ApplyMode], default="relaxed")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("compose", parents=[fmt], help="compose two graph files")

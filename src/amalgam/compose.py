@@ -21,7 +21,7 @@ independent reference implementation for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container, Iterable
 
 from .graphs import (
     BaseGraph, Edge, GraphError, MsGraph, UnknownVertexError, Vertex, _cached, validate
@@ -61,24 +61,30 @@ class MergePartition:
         return rep
 
 
-def fresh_ids(ids: Iterable[str], avoid: Iterable[str]) -> dict[str, str]:
+def fresh_ids(ids: Iterable[str], avoid: Container[str]) -> dict[str, str]:
     """A fresh name for every id: ticks appended until clear of ``avoid``.
 
-    A set, frozenset or dict ``avoid`` is looked up in place, not copied.
+    ``avoid`` is any container, looked up in place, not copied.
     """
-    clear = avoid if isinstance(avoid, (set, frozenset, dict)) else set(avoid)
     taken: set[str] = set()
     out: dict[str, str] = {}
     for v in ids:
         candidate = v + "'"
-        while candidate in clear or candidate in taken:
+        while candidate in avoid or candidate in taken:
             candidate += "'"
         out[v] = candidate
         taken.add(candidate)
     return out
 
+
+def _unknown_vertices(*graphs: MsGraph) -> UnknownVertexError:
+    """The error for edges or sources that name no vertex, as ``validate`` words them."""
+    found = [p.detail for g in graphs for p in validate(g) if p.invariant.startswith("dangling")]
+    return UnknownVertexError("; ".join(found))
+
+
 def disjoint_copy(
-    h: MsGraph, avoid: MsGraph | Iterable[str]
+    h: MsGraph, avoid: MsGraph | Container[str]
 ) -> tuple[MsGraph, dict[str, str]]:
     """An isomorphic copy of ``h`` sharing no vertex ids with ``avoid``.
 
@@ -94,8 +100,7 @@ def disjoint_copy(
         edges = tuple(Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges)
         sources = {a: vmap[v] for a, v in h.sources.items()}
     except KeyError:
-        dangling = [p.detail for p in validate(h) if p.invariant.startswith("dangling")]
-        raise UnknownVertexError("; ".join(dangling)) from None
+        raise _unknown_vertices(h) from None
     return MsGraph(BaseGraph(vertices, edges), sources), vmap
 
 
@@ -260,8 +265,14 @@ def parallel_compose(g: MsGraph, h: MsGraph) -> MsGraph:
 
     The label set of the result is the union of the operands'; each shared
     label drags its two vertices (and transitively everything they are merged
-    with) into a single vertex.
+    with) into a single vertex.  An edge endpoint or a source of either
+    operand that names no vertex raises UnknownVertexError.
     """
+    ids = g.base._id_set
+    if not ids.issuperset(g.sources.values()) or any(
+        src not in ids or dst not in ids for src, dst, _ in g.base.edges
+    ):
+        raise _unknown_vertices(g)
     h_prime, _ = disjoint_copy(h, g)
     return compose_disjoint(g, h_prime)
 
@@ -272,7 +283,8 @@ def parallel_compose_classic(g: MsGraph, h: MsGraph) -> MsGraph:
     The second graph is copied with its shared-source vertices replaced by
     the first graph's vertices for those labels; everything else is a
     disjoint union.  Refuses inputs where any vertex carries two labels,
-    because gluing cannot express the merges those graphs require.
+    because gluing cannot express the merges those graphs require.  A lookup
+    of an edge endpoint or a source that finds no vertex raises UnknownVertexError.
     """
     if not g.is_sgraph():
         raise SGraphRequiredError("left operand has a vertex with multiple source labels")
@@ -286,17 +298,24 @@ def parallel_compose_classic(g: MsGraph, h: MsGraph) -> MsGraph:
     vmap.update(glue)
 
     fused: dict[str, str] = {}  # glued g vertex -> the label it gains
-    for v in h.base.vertices:
-        if v.id in glue and v.label is not None:
-            target = glue[v.id]
-            current = fused.get(target, g_labels[target])
-            if current is None:
-                fused[target] = v.label
-            elif current != v.label:
-                raise NodeLabelConflictError(
-                    f"glued vertex {target!r} would carry both "
-                    f"{current!r} and {v.label!r}"
-                )
+    try:
+        for v in h.base.vertices:
+            if v.id in glue and v.label is not None:
+                target = glue[v.id]
+                current = fused.get(target, g_labels[target])
+                if current is None:
+                    fused[target] = v.label
+                elif current != v.label:
+                    raise NodeLabelConflictError(
+                        f"glued vertex {target!r} would carry both "
+                        f"{current!r} and {v.label!r}"
+                    )
+        h_edges = tuple([Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges])
+        sources = dict(g.sources)
+        for a, v in h.sources.items():
+            sources.setdefault(a, vmap[v])
+    except KeyError:
+        raise _unknown_vertices(g, h) from None
 
     g_vertices = g.base.vertices
     if fused:
@@ -306,10 +325,4 @@ def parallel_compose_classic(g: MsGraph, h: MsGraph) -> MsGraph:
     vertices = g_vertices + tuple(
         [Vertex(vmap[v.id], v.label) for v in h.base.vertices if v.id not in glue]
     )
-    edges = g.base.edges + tuple(
-        [Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges]
-    )
-    sources = dict(g.sources)
-    for a, v in h.sources.items():
-        sources.setdefault(a, vmap[v])
-    return MsGraph(BaseGraph(vertices, edges), sources)
+    return MsGraph(BaseGraph(vertices, g.base.edges + h_edges), sources)

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 ROOT_LABEL = "rt"
 
-# Default ceiling for the isomorphism search; raised via parameter if needed.
+# Ceiling on the vertex count of either graph in an isomorphism search.
 ISO_VERTEX_LIMIT = 64
 
 # Ceiling on how many graphs enumerate_graphs may produce.
@@ -279,19 +279,18 @@ def _signatures(g: MsGraph) -> dict[str, tuple]:
     return sig
 
 
-def find_isomorphism(
-    g: MsGraph, h: MsGraph, *, max_vertices: int = ISO_VERTEX_LIMIT
-) -> dict[str, str] | None:
+def find_isomorphism(g: MsGraph, h: MsGraph) -> dict[str, str] | None:
     """A vertex bijection carrying g onto h exactly, or None.
 
     The bijection must preserve node labels, the edge multiset, and every
     source label.  Backtracking with pruning on (node label, source labels,
-    degree profile); graphs above ``max_vertices`` are rejected outright.
+    degree profile); graphs above ``ISO_VERTEX_LIMIT`` vertices raise
+    CapacityError.
     """
     n_g, n_h = len(g.base.vertices), len(h.base.vertices)
-    if n_g > max_vertices or n_h > max_vertices:
+    if n_g > ISO_VERTEX_LIMIT or n_h > ISO_VERTEX_LIMIT:
         raise CapacityError(
-            f"isomorphism search capped at {max_vertices} vertices; got {max(n_g, n_h)}"
+            f"isomorphism search capped at {ISO_VERTEX_LIMIT} vertices; got {max(n_g, n_h)}"
         )
     if n_g != n_h or len(g.base.edges) != len(h.base.edges):
         return None
@@ -372,8 +371,8 @@ def find_isomorphism(
     return dict(mapping) if extend(0) else None
 
 
-def isomorphic(g: MsGraph, h: MsGraph, *, max_vertices: int = ISO_VERTEX_LIMIT) -> bool:
-    return find_isomorphism(g, h, max_vertices=max_vertices) is not None
+def isomorphic(g: MsGraph, h: MsGraph) -> bool:
+    return find_isomorphism(g, h) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -98,12 +98,16 @@ def test_as_graph_type_domain_must_match_open_sources(lexicon):
         AsGraph(g, GraphType({"s": Slot()}))  # "o" missing from the type
 
 
-def test_apply_mode_validation():
+def test_apply_mode_validation(lexicon):
     with pytest.raises(ValueError):
         ApplyMode("fancy")
-    assert ORIGINAL.variant == "original" and not ORIGINAL.strict_root
-    assert RELAXED.variant == "relaxed" and not RELAXED.strict_root
-    assert RELAXED_STRICT.strict_root
+    assert list(ApplyMode) == [ORIGINAL, RELAXED, RELAXED_STRICT]
+    assert ApplyMode("original") is ORIGINAL
+    assert ApplyMode("relaxed-strict") is RELAXED_STRICT
+    # A value that is not a member never silently picks a ladder.
+    for stray in ("original", "relaxed", None):
+        with pytest.raises(TypeError, match="mode must be an ApplyMode"):
+            apply("o", lexicon["wash"], lexicon["raven"], stray)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from amalgam import cli
 from amalgam.cli import build_parser, main
 
 REFLEXIVE = "app_s(app_o(wash,self),raven)"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -67,11 +71,15 @@ def test_eval_strict_root_flag(capsys, lexicon_path):
     code, out, err = run(
         capsys,
         "eval", "--lexicon", lexicon_path,
-        "--term", "app_s(wash,self)", "--strict-root",
+        "--term", "app_s(wash,self)", "--mode", "relaxed-strict",
     )
     assert code == 1
     assert out == ""
     assert "extra root label of the argument" in err
+    # The strict clause is a mode of its own, not a flag on top of one.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--lexicon", lexicon_path, "--term", "raven", "--strict-root"])
+    assert exit_info.value.code == 2
 
 
 def test_eval_hard_errors_exit_2(capsys, lexicon_path):
@@ -292,3 +300,38 @@ def test_campaign_trial_defaults():
     assert parser.parse_args(["check-reduction"]).trials == 10_000
     assert parser.parse_args(["check-properties"]).trials == 1_000
     assert parser.parse_args(["check-properties"]).seed == 0
+
+
+def _readme_commands() -> list[tuple[str, list[str]]]:
+    """Each ``amalgam`` line of the README "Command line" block, as
+    (the comment paragraph above it, its arguments)."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands, comment = [], ""
+    for line in block.splitlines():
+        if line.startswith("#"):
+            comment += line + " "
+        elif line.startswith("amalgam "):
+            commands.append((comment, shlex.split(line)[1:]))
+        else:
+            comment = ""
+    return commands
+
+
+def test_readme_command_lines(capsys, monkeypatch):
+    # The fast commands run and exit as their comment says; the campaigns
+    # run at full size, so for those only the command line is checked.
+    monkeypatch.chdir(README.parent)
+    commands = _readme_commands()
+    assert {argv[0] for _, argv in commands} == {
+        "eval", "compose", "iso", "dot",
+        "check-equivalence", "check-reduction", "check-properties",
+    }
+    for comment, argv in commands:
+        if argv[0].startswith("check-"):
+            build_parser().parse_args(argv)
+            continue
+        stated = re.search(r"\bexit (\d)", comment)
+        assert stated, f"the README states no exit code for {argv}"
+        assert main(argv) == int(stated.group(1)), argv
+        capsys.readouterr()

@@ -295,19 +295,39 @@ def test_dangling_edge_endpoint_passes_through():
 
 
 def test_parallel_compose_names_a_missing_vertex():
-    # The right operand is copied first, and the copy refuses an edge
-    # endpoint or a source that names no vertex.
+    # Whichever operand has an edge endpoint or a source that names no
+    # vertex, composing raises with the details validate gives.
     g = build_graph(["p"], [], {"A": "p"})
-    dangling_edge = build_graph(["x"], [("x", "ghost", "e")], {"A": "x"})
-    dangling_source = build_graph(["x"], [], {"A": "x", "B": "ghost"})
-    with pytest.raises(UnknownVertexError, match="edge 'x'->'ghost' uses missing vertex 'ghost'"):
-        parallel_compose(g, dangling_edge)
-    with pytest.raises(UnknownVertexError, match="source 'B' names missing vertex 'ghost'"):
-        parallel_compose(g, dangling_source)
+    dangling = build_graph(["x"], [("x", "ghost", "e")], {"A": "x", "B": "nowhere"})
+    for left, right in ((g, dangling), (dangling, g)):
+        with pytest.raises(UnknownVertexError) as err:
+            parallel_compose(left, right)
+        assert str(err.value) == (
+            "edge 'x'->'ghost' uses missing vertex 'ghost'; "
+            "source 'B' names missing vertex 'nowhere'"
+        )
+    # A dangling source under a shared label is the same error, not a
+    # complaint about the merge relation.
+    shared = build_graph(["p"], [], {"A": "nowhere"})
+    labelled = build_graph([("x", "L")], [], {"A": "x"})
+    for left, right in ((shared, labelled), (labelled, shared)):
+        with pytest.raises(UnknownVertexError, match="source 'A' names missing vertex 'nowhere'"):
+            parallel_compose(left, right)
 
 
 # --------------------------------------------------------------------------
 # glue-based reference
+
+def test_classic_names_a_missing_vertex():
+    g = build_graph(["p"], [], {"A": "p"})
+    dangling_edge = build_graph(["x"], [("x", "ghost", "e")], {"A": "x"})
+    with pytest.raises(UnknownVertexError, match="edge 'x'->'ghost' uses missing vertex 'ghost'"):
+        parallel_compose_classic(g, dangling_edge)
+    shared = build_graph(["p"], [], {"A": "nowhere"})
+    labelled = build_graph([("x", "L")], [], {"A": "x"})
+    with pytest.raises(UnknownVertexError, match="source 'A' names missing vertex 'nowhere'"):
+        parallel_compose_classic(shared, labelled)
+
 
 def test_classic_agrees_on_sgraphs():
     g = build_graph([("p", "L"), "q"], [("p", "q", "e")], {"A": "p", "B": "q"})

@@ -123,11 +123,11 @@ def test_capacity_limit():
     big = MsGraph(BaseGraph(tuple(Vertex(f"v{i}") for i in range(65))), {})
     with pytest.raises(CapacityError):
         isomorphic(big, big)
-    # The cap is a parameter, not a constant.
-    assert isomorphic(big, big, max_vertices=65)
-    small = build_graph(["a", "b", "c"], [], {})
-    with pytest.raises(CapacityError):
-        isomorphic(small, small, max_vertices=2)
+    # The cap is ISO_VERTEX_LIMIT = 64 vertices on either side.
+    at_cap = MsGraph(BaseGraph(tuple(Vertex(f"v{i}") for i in range(64))), {})
+    assert isomorphic(at_cap, at_cap)
+    with pytest.raises(CapacityError, match="capped at 64 vertices; got 65"):
+        isomorphic(at_cap, big)
 
 
 def test_empty_graphs_are_isomorphic():
