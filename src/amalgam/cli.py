@@ -12,6 +12,7 @@ instead of a traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -115,7 +116,12 @@ def _cmd_check_properties(args: argparse.Namespace) -> int:
     return _emit_report(report)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call.
+
+    It holds no handler: ``main`` looks ``_cmd_<command>`` up when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="amalgam",
         description="Compose, apply, compare, and render source-labeled graphs.",
@@ -137,29 +143,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--term", required=True)
     p.add_argument("--mode", choices=[m.value for m in ApplyMode], default="relaxed")
-    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("compose", parents=[fmt], help="compose two graph files")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--classic", action="store_true", help="use the glue-based composition")
-    p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("iso", help="test two graph files for isomorphism")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("dot", help="render a graph file as DOT")
     p.add_argument("graph")
-    p.set_defaults(func=_cmd_dot)
 
     p = sub.add_parser(
         "check-equivalence",
         parents=[bounds],
         help="exhaustive merge-vs-glue composition sweep",
     )
-    p.set_defaults(func=_cmd_check_equivalence)
 
     p = sub.add_parser(
         "check-reduction",
@@ -167,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="randomized original-vs-relaxed apply agreement",
     )
     p.add_argument("--trials", type=int, default=10_000)
-    p.set_defaults(func=_cmd_check_reduction)
 
     p = sub.add_parser(
         "check-properties",
@@ -175,15 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="commutativity, identity, and sampled associativity",
     )
     p.add_argument("--trials", type=int, default=1_000)
-    p.set_defaults(func=_cmd_check_properties)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (GraphError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

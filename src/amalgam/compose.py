@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Container, Iterable
 
-from .graphs import (
-    BaseGraph, Edge, GraphError, MsGraph, UnknownVertexError, Vertex, _cached, validate
-)
+from .graphs import BaseGraph, Edge, GraphError, MsGraph, UnknownVertexError, Vertex, _cached
 
 
 class NodeLabelConflictError(GraphError):
@@ -79,8 +77,7 @@ def fresh_ids(ids: Iterable[str], avoid: Container[str]) -> dict[str, str]:
 
 def _unknown_vertices(*graphs: MsGraph) -> UnknownVertexError:
     """The error for edges or sources that name no vertex, as ``validate`` words them."""
-    found = [p.detail for g in graphs for p in validate(g) if p.invariant.startswith("dangling")]
-    return UnknownVertexError("; ".join(found))
+    return UnknownVertexError("; ".join([d for g in graphs for d in g._dangling]))
 
 
 def disjoint_copy(
@@ -93,14 +90,13 @@ def disjoint_copy(
     An edge endpoint or a source that names no vertex of ``h`` raises
     UnknownVertexError.
     """
+    if h._dangling:
+        raise _unknown_vertices(h)
     avoid_ids = avoid.base._id_set if isinstance(avoid, MsGraph) else avoid
     vmap = fresh_ids(h.base.vertex_ids(), avoid_ids)
     vertices = tuple(Vertex(vmap[v.id], v.label) for v in h.base.vertices)
-    try:
-        edges = tuple(Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges)
-        sources = {a: vmap[v] for a, v in h.sources.items()}
-    except KeyError:
-        raise _unknown_vertices(h) from None
+    edges = tuple(Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges)
+    sources = {a: vmap[v] for a, v in h.sources.items()}
     return MsGraph(BaseGraph(vertices, edges), sources), vmap
 
 
@@ -268,10 +264,7 @@ def parallel_compose(g: MsGraph, h: MsGraph) -> MsGraph:
     with) into a single vertex.  An edge endpoint or a source of either
     operand that names no vertex raises UnknownVertexError.
     """
-    ids = g.base._id_set
-    if not ids.issuperset(g.sources.values()) or any(
-        src not in ids or dst not in ids for src, dst, _ in g.base.edges
-    ):
+    if g._dangling:
         raise _unknown_vertices(g)
     h_prime, _ = disjoint_copy(h, g)
     return compose_disjoint(g, h_prime)
@@ -283,13 +276,16 @@ def parallel_compose_classic(g: MsGraph, h: MsGraph) -> MsGraph:
     The second graph is copied with its shared-source vertices replaced by
     the first graph's vertices for those labels; everything else is a
     disjoint union.  Refuses inputs where any vertex carries two labels,
-    because gluing cannot express the merges those graphs require.  A lookup
-    of an edge endpoint or a source that finds no vertex raises UnknownVertexError.
+    because gluing cannot express the merges those graphs require.  An edge
+    endpoint or a source of either operand that names no vertex raises
+    UnknownVertexError.
     """
     if not g.is_sgraph():
         raise SGraphRequiredError("left operand has a vertex with multiple source labels")
     if not h.is_sgraph():
         raise SGraphRequiredError("right operand has a vertex with multiple source labels")
+    if g._dangling or h._dangling:
+        raise _unknown_vertices(g, h)
 
     shared = g.tau & h.tau
     glue = {h.sources[a]: g.sources[a] for a in shared}
@@ -298,24 +294,21 @@ def parallel_compose_classic(g: MsGraph, h: MsGraph) -> MsGraph:
     vmap.update(glue)
 
     fused: dict[str, str] = {}  # glued g vertex -> the label it gains
-    try:
-        for v in h.base.vertices:
-            if v.id in glue and v.label is not None:
-                target = glue[v.id]
-                current = fused.get(target, g_labels[target])
-                if current is None:
-                    fused[target] = v.label
-                elif current != v.label:
-                    raise NodeLabelConflictError(
-                        f"glued vertex {target!r} would carry both "
-                        f"{current!r} and {v.label!r}"
-                    )
-        h_edges = tuple([Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges])
-        sources = dict(g.sources)
-        for a, v in h.sources.items():
-            sources.setdefault(a, vmap[v])
-    except KeyError:
-        raise _unknown_vertices(g, h) from None
+    for v in h.base.vertices:
+        if v.id in glue and v.label is not None:
+            target = glue[v.id]
+            current = fused.get(target, g_labels[target])
+            if current is None:
+                fused[target] = v.label
+            elif current != v.label:
+                raise NodeLabelConflictError(
+                    f"glued vertex {target!r} would carry both "
+                    f"{current!r} and {v.label!r}"
+                )
+    h_edges = tuple([Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges])
+    sources = dict(g.sources)
+    for a, v in h.sources.items():
+        sources.setdefault(a, vmap[v])
 
     g_vertices = g.base.vertices
     if fused:

@@ -134,6 +134,19 @@ class MsGraph:
         return frozenset(self.sources)
 
     @_cached
+    def _dangling(self) -> tuple[str, ...]:
+        """``validate``'s details for each edge endpoint and source naming no vertex.
+
+        Empty when every edge and source names a vertex of the graph.
+        """
+        ids = self.base._id_set
+        if ids.issuperset(self.sources.values()) and all(
+            src in ids and dst in ids for src, dst, _ in self.base.edges
+        ):
+            return ()
+        return tuple(p.detail for p in validate(self) if p.invariant.startswith("dangling"))
+
+    @_cached
     def _slab_map(self) -> dict[str, frozenset[str]]:
         acc: dict[str, set[str]] = {}
         for label, vertex_id in self.sources.items():
@@ -279,6 +292,34 @@ def _signatures(g: MsGraph) -> dict[str, tuple]:
     return sig
 
 
+def _is_isomorphism(g: MsGraph, h: MsGraph, mapping: Mapping[str, str]) -> bool:
+    """True when ``mapping`` carries g onto h exactly, in O(n + m).
+
+    Any mapping may be passed; keys that are not g vertices are ignored.  It
+    must send every g vertex to a distinct h vertex with the same node label,
+    send every source of g to h's source of the same label (the label sets
+    must be equal), and carry g's edge multiset onto h's.
+    """
+    g_base, h_base = g.base, h.base
+    if len(g_base.vertices) != len(h_base.vertices) or len(g_base.edges) != len(h_base.edges):
+        return False
+    if g.tau != h.tau:
+        return False
+    h_labels = h_base._label_map
+    images: set[str] = set()
+    for v in g_base.vertices:
+        y = mapping.get(v.id)
+        if y not in h_labels or y in images or h_labels[y] != v.label:
+            return False
+        images.add(y)
+    h_sources = h.sources
+    for label, x in g.sources.items():
+        if mapping.get(x) != h_sources[label]:
+            return False
+    g_edges = Counter((mapping.get(e.src), mapping.get(e.dst), e.label) for e in g_base.edges)
+    return g_edges == Counter(h_base.edges)
+
+
 def find_isomorphism(g: MsGraph, h: MsGraph) -> dict[str, str] | None:
     """A vertex bijection carrying g onto h exactly, or None.
 
@@ -310,14 +351,8 @@ def find_isomorphism(g: MsGraph, h: MsGraph) -> dict[str, str] | None:
         used[y] = x
 
     if len(mapping) == n_g:
-        # Fully forced: just verify labels and the remapped edge multiset.
-        label_of = h.base._label_map
-        for x, y in mapping.items():
-            if g.base.label_of(x) != label_of[y]:
-                return None
-        g_edges = Counter((mapping[e.src], mapping[e.dst], e.label) for e in g.base.edges)
-        h_edges = Counter((e.src, e.dst, e.label) for e in h.base.edges)
-        return dict(mapping) if g_edges == h_edges else None
+        # Fully forced: the sources fix the only candidate.
+        return mapping if _is_isomorphism(g, h, mapping) else None
 
     sig_g, sig_h = _signatures(g), _signatures(h)
     if Counter(sig_g.values()) != Counter(sig_h.values()):

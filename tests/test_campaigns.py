@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import pytest
 
+from amalgam import campaigns
 from amalgam import (
+    BaseGraph,
     CampaignReport,
     CapacityError,
     EnumerationBounds,
     Failure,
+    MsGraph,
     SGraphRequiredError,
     check_algebraic_properties,
     check_apply_reduction,
@@ -17,6 +20,8 @@ from amalgam import (
 )
 
 SMALL = EnumerationBounds(max_vertices=2, max_edges=1, sgraphs_only=True)
+# 171 graphs with several labels per vertex.
+MULTI_SOURCE = EnumerationBounds(max_vertices=2, source_labels=("a", "b", "rt"), max_edges=2)
 # 7,678 graphs make 58.9M ordered pairs, over the campaigns' 4M pair budget.
 OVER_PAIR_BUDGET = EnumerationBounds(max_vertices=4, max_edges=2, sgraphs_only=True)
 
@@ -101,3 +106,63 @@ def test_enumeration_respects_its_budget():
     assert count_graphs(bounds) == 717_714
     with pytest.raises(CapacityError, match="717714 graphs, over the budget of 500000"):
         next(enumerate_graphs(bounds))
+
+
+def count_isomorphic_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    search = campaigns.isomorphic
+
+    def counted(g, h):
+        calls[0] += 1
+        return search(g, h)
+
+    monkeypatch.setattr(campaigns, "isomorphic", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bounds, trials", [(SMALL, 20), (MULTI_SOURCE, 0)])
+def test_commutativity_witness_never_falls_back_to_search(monkeypatch, bounds, trials):
+    # The construction's bijection holds on every commutativity pair, so
+    # only the identity checks and the associativity triples search.
+    calls = count_isomorphic_calls(monkeypatch)
+    report = check_algebraic_properties(bounds, trials=trials, seed=5)
+    assert report.passed
+    n = count_graphs(bounds)
+    assert report.cases_run == n + n * (n + 1) // 2 + trials
+    assert calls[0] == n + trials
+
+
+def test_wrong_witness_falls_back_to_search(monkeypatch):
+    expected = check_algebraic_properties(MULTI_SOURCE, trials=10, seed=2).to_document()
+    calls = count_isomorphic_calls(monkeypatch)
+    nonempty = [0]
+
+    def planted(left, right, to_copy, from_copy):
+        # Every vertex onto one id that no composition uses; on the empty
+        # result any map is a bijection, so only that pair is not searched.
+        nonempty[0] += bool(left.base.vertices)
+        return dict.fromkeys(left.base.vertex_ids(), "nowhere")
+
+    monkeypatch.setattr(campaigns, "_commutation_witness", planted)
+    report = check_algebraic_properties(MULTI_SOURCE, trials=10, seed=2)
+    assert report.to_document() == expected
+    n = count_graphs(MULTI_SOURCE)
+    assert n == 171
+    assert nonempty[0] == n * (n + 1) // 2 - 1
+    assert calls[0] == n + nonempty[0] + 10
+
+
+def test_witness_does_not_hide_a_commutativity_failure(monkeypatch):
+    # A composition that drops the right operand's edges is not commutative;
+    # the witness path reports exactly the failures the search alone finds.
+    compose = campaigns.compose_disjoint
+
+    def lopsided(g, h_prime):
+        return compose(g, MsGraph(BaseGraph(h_prime.base.vertices), h_prime.sources))
+
+    monkeypatch.setattr(campaigns, "compose_disjoint", lopsided)
+    with_witness = check_algebraic_properties(SMALL, trials=0)
+    monkeypatch.setattr(campaigns, "_is_isomorphism", lambda g, h, mapping: False)
+    search_only = check_algebraic_properties(SMALL, trials=0)
+    assert with_witness.failures
+    assert with_witness.to_document() == search_only.to_document()

@@ -295,6 +295,10 @@ def test_check_equivalence_takes_no_sampling_flags(capsys):
     assert err.value.code == 2
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_campaign_trial_defaults():
     parser = build_parser()
     assert parser.parse_args(["check-reduction"]).trials == 10_000

@@ -327,6 +327,15 @@ def test_classic_names_a_missing_vertex():
     labelled = build_graph([("x", "L")], [], {"A": "x"})
     with pytest.raises(UnknownVertexError, match="source 'A' names missing vertex 'nowhere'"):
         parallel_compose_classic(shared, labelled)
+    # A dangling edge of the left operand, and a dangling right source under
+    # a shared label, are refused too, though no lookup touches them.
+    left_edge = build_graph(["p"], [("p", "ghost", "e")], {"A": "p"})
+    with pytest.raises(UnknownVertexError) as err:
+        parallel_compose_classic(left_edge, build_graph(["x"], [], {"A": "x"}))
+    assert str(err.value) == "edge 'p'->'ghost' uses missing vertex 'ghost'"
+    with pytest.raises(UnknownVertexError) as err:
+        parallel_compose_classic(g, build_graph(["x"], [], {"A": "ghost"}))
+    assert str(err.value) == "source 'A' names missing vertex 'ghost'"
 
 
 def test_classic_agrees_on_sgraphs():

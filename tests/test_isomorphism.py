@@ -1,17 +1,23 @@
 """Isomorphism search: forced mappings, backtracking, and limits."""
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from amalgam import (
     BaseGraph,
     CapacityError,
+    EnumerationBounds,
     MsGraph,
     Vertex,
     build_graph,
+    enumerate_graphs,
     find_isomorphism,
     isomorphic,
 )
+from amalgam.graphs import _is_isomorphism
 
 
 def relabel(g: MsGraph, mapping: dict[str, str]) -> MsGraph:
@@ -132,3 +138,66 @@ def test_capacity_limit():
 
 def test_empty_graphs_are_isomorphic():
     assert find_isomorphism(MsGraph(), MsGraph()) == {}
+
+
+# --------------------------------------------------------------------------
+# the O(n + m) verifier behind the forced path and the commutativity witness
+
+def carries_onto(g: MsGraph, h: MsGraph, bijection: dict[str, str]) -> bool:
+    """The definition: renaming g by the bijection gives h, up to order."""
+    image = relabel(g, bijection)
+    return (
+        sorted(image.base.vertices) == sorted(h.base.vertices)
+        and Counter(image.base.edges) == Counter(h.base.edges)
+        and image.sources == h.sources
+    )
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        # several labels per vertex, three vertices
+        EnumerationBounds(max_vertices=3, source_labels=("a", "rt"), max_edges=1),
+        # node labels and loops
+        EnumerationBounds(
+            max_vertices=2, source_labels=("a",), node_labels=("n",), max_edges=1,
+            allow_loops=True,
+        ),
+    ],
+)
+def test_verifier_agrees_with_the_definition_on_every_bijection(bounds):
+    graphs = list(enumerate_graphs(bounds))
+    by_size: dict[int, list[MsGraph]] = {}
+    for g in graphs:
+        by_size.setdefault(len(g.base.vertices), []).append(g)
+    for same_size in by_size.values():
+        for g, h in itertools.product(same_size, repeat=2):
+            g_ids, h_ids = g.base.vertex_ids(), h.base.vertex_ids()
+            found = False
+            for image in itertools.permutations(h_ids):
+                bijection = dict(zip(g_ids, image))
+                verdict = _is_isomorphism(g, h, bijection)
+                assert verdict == carries_onto(g, h, bijection), (g, h, bijection)
+                found = found or verdict
+            assert found == isomorphic(g, h), (g, h)
+
+
+def test_verifier_rejects_maps_that_are_not_bijections():
+    # No labels, sources or edges to tell the vertices apart: only the
+    # bijection check can reject these maps.
+    g = build_graph(["p", "q"])
+    h = build_graph(["x", "y"])
+    assert _is_isomorphism(g, h, {"p": "x", "q": "y"})
+    assert _is_isomorphism(g, h, {"p": "x", "q": "y", "elsewhere": "x"})
+    assert not _is_isomorphism(g, h, {"p": "x", "q": "x"})  # two onto one
+    assert not _is_isomorphism(g, h, {"p": "x", "q": "ghost"})  # not an h vertex
+    assert not _is_isomorphism(g, h, {"p": "x"})  # q unmapped
+    # With edges, a collapsing map could otherwise carry the edge multiset.
+    g = build_graph(["p", "q"], [("p", "p", "e")], {})
+    h = build_graph(["x", "y"], [("x", "x", "e")], {})
+    assert not _is_isomorphism(g, h, {"p": "x", "q": "x"})
+    # Sizes and label sets are checked too.
+    assert not _is_isomorphism(build_graph(["p"]), build_graph(["x", "y"]), {"p": "x"})
+    assert not _is_isomorphism(
+        build_graph(["p"], [], {"A": "p"}), build_graph(["x"], [], {"B": "x"}), {"p": "x"}
+    )
