@@ -34,18 +34,13 @@ from .campaigns import (
     check_composition_equivalence,
 )
 from .compose import (
-    MergePartition,
     NodeLabelConflictError,
     SGraphRequiredError,
     VertexOverlapError,
     compose_disjoint,
     disjoint_copy,
-    equivalence_closure,
-    fresh_ids,
-    merge_relation,
     parallel_compose,
     parallel_compose_classic,
-    quotient,
 )
 from .graphs import (
     BaseGraph,

@@ -92,8 +92,10 @@ class CampaignReport:
 DEFAULT_EQUIVALENCE_BOUNDS = EnumerationBounds(sgraphs_only=True)
 
 
-def _population(bounds: EnumerationBounds) -> tuple[list[MsGraph], list[MsGraph]]:
-    """Every graph within the bounds, and a disjoint copy of each.
+def _population(
+    bounds: EnumerationBounds,
+) -> tuple[list[MsGraph], list[MsGraph], list[dict[str, str]]]:
+    """Every graph within the bounds, a disjoint copy of each, and the copies' id maps.
 
     Raises CapacityError, before enumerating any graph, when the ordered
     pairs (``count_graphs(bounds)`` squared) are over ``PAIR_BUDGET``.  A copy
@@ -111,7 +113,8 @@ def _population(bounds: EnumerationBounds) -> tuple[list[MsGraph], list[MsGraph]
     all_ids: set[str] = set()
     for g in graphs:
         all_ids.update(g.base.vertex_ids())
-    return graphs, [disjoint_copy(h, all_ids)[0] for h in graphs]
+    copied = [disjoint_copy(h, all_ids) for h in graphs]
+    return graphs, [c for c, _ in copied], [m for _, m in copied]
 
 
 def check_composition_equivalence(bounds: EnumerationBounds | None = None) -> CampaignReport:
@@ -129,7 +132,7 @@ def check_composition_equivalence(bounds: EnumerationBounds | None = None) -> Ca
             "equivalence campaign needs sgraphs_only bounds; the glue-based "
             "reference is undefined on multi-label graphs"
         )
-    graphs, copies = _population(bounds)
+    graphs, copies, _ = _population(bounds)
     failures: list[Failure] = []
 
     def fail(g: MsGraph, h: MsGraph, expected: str, observed: str) -> None:
@@ -271,8 +274,10 @@ def check_apply_reduction(*, trials: int = 10_000, seed: int = 0) -> CampaignRep
     Every generated functor and argument has an empty extra-root-label set,
     the regime where the two condition systems are meant to coincide.  The
     modes must agree on definedness and, when defined, produce equal types
-    and isomorphic graphs.
+    and isomorphic graphs.  A negative ``trials`` raises ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     rng = random.Random(seed)
     failures: list[Failure] = []
     for _ in range(trials):
@@ -338,11 +343,13 @@ def check_algebraic_properties(
     onto the other; only when it does not does ``isomorphic`` search, and its
     answer is the verdict.  Associativity is checked on ``trials`` seeded
     random triples and any violation is recorded as a finding, not a failure.
+    A negative ``trials`` raises ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     bounds = bounds or DEFAULT_EQUIVALENCE_BOUNDS
-    graphs, copies = _population(bounds)
-    to_copy = [dict(zip(g.base._ids, c.base._ids)) for g, c in zip(graphs, copies)]
-    from_copy = [dict(zip(c.base._ids, g.base._ids)) for g, c in zip(graphs, copies)]
+    graphs, copies, to_copy = _population(bounds)
+    from_copy = [{c: v for v, c in copy_map.items()} for copy_map in to_copy]
     empty = MsGraph()
     failures: list[Failure] = []
     findings: list[Failure] = []

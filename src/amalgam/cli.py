@@ -47,11 +47,25 @@ def _emit_graph(g: MsGraph, fmt: str) -> None:
     sys.stdout.write(text)
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value in ASCII digits; anything else is a usage error."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _labels(text: str) -> tuple[str, ...]:
+    """Comma-separated source labels; naming one twice is a usage error."""
+    labels = tuple(s for s in text.split(",") if s)
+    if len(set(labels)) != len(labels):
+        raise argparse.ArgumentTypeError(f"source labels repeat in {text!r}")
+    return labels
+
+
 def _bounds_from(args: argparse.Namespace) -> EnumerationBounds:
-    labels = tuple(s for s in args.labels.split(",") if s)
     return EnumerationBounds(
         max_vertices=args.max_vertices,
-        source_labels=labels,
+        source_labels=args.labels,
         max_edges=args.max_edges,
         sgraphs_only=True,
     )
@@ -132,9 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("json", "dot"), default="json")
 
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--max-vertices", type=int, default=3)
-    bounds.add_argument("--max-edges", type=int, default=2)
-    bounds.add_argument("--labels", default="a,b,rt", help="comma-separated source labels")
+    bounds.add_argument("--max-vertices", type=_count, default=3)
+    bounds.add_argument("--max-edges", type=_count, default=2)
+    bounds.add_argument(
+        "--labels", type=_labels, default="a,b,rt", help="comma-separated source labels"
+    )
 
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
@@ -167,14 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[seed],
         help="randomized original-vs-relaxed apply agreement",
     )
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=_count, default=10_000)
 
     p = sub.add_parser(
         "check-properties",
         parents=[bounds, seed],
         help="commutativity, identity, and sampled associativity",
     )
-    p.add_argument("--trials", type=int, default=1_000)
+    p.add_argument("--trials", type=_count, default=1_000)
 
     return parser
 

@@ -20,10 +20,9 @@ independent reference implementation for cross-checking.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Container, Iterable
 
-from .graphs import BaseGraph, Edge, GraphError, MsGraph, UnknownVertexError, Vertex, _cached
+from .graphs import BaseGraph, Edge, GraphError, MsGraph, UnknownVertexError, Vertex
 
 
 class NodeLabelConflictError(GraphError):
@@ -36,27 +35,6 @@ class SGraphRequiredError(GraphError):
 
 class VertexOverlapError(GraphError):
     """Inputs were required to be vertex-disjoint but share an id."""
-
-
-@dataclass(frozen=True)
-class MergePartition:
-    """An equivalence partition over a vertex universe plus chosen representatives.
-
-    ``classes[i]`` lists one equivalence class in universe order and
-    ``cross_section[i]`` is its representative.
-    """
-
-    universe: tuple[str, ...]
-    classes: tuple[tuple[str, ...], ...]
-    cross_section: tuple[str, ...]
-
-    @_cached
-    def representative_of(self) -> dict[str, str]:
-        rep = {}
-        for members, chosen in zip(self.classes, self.cross_section):
-            for m in members:
-                rep[m] = chosen
-        return rep
 
 
 def fresh_ids(ids: Iterable[str], avoid: Container[str]) -> dict[str, str]:
@@ -117,11 +95,13 @@ def equivalence_closure(
     pairs: Iterable[tuple[str, str]],
     universe: Iterable[str],
     preferred: Iterable[str] = (),
-) -> MergePartition:
+) -> tuple[tuple[str, tuple[str, ...]], ...]:
     """Reflexive-symmetric-transitive closure of ``pairs`` over ``universe``.
 
-    Representatives: the smallest id from ``preferred`` present in a class,
-    else the smallest id in the class.
+    Returns one ``(representative, members)`` pair per class.  Classes come
+    in the universe order of their first member, and members in universe
+    order.  The representative is the smallest id from ``preferred`` in the
+    class, else the smallest id in the class.
     """
     order = tuple(universe)
     parent = {v: v for v in order}
@@ -140,32 +120,35 @@ def equivalence_closure(
         while parent[root] != root:
             root = parent[root]
         groups.setdefault(root, []).append(v)
-    classes = tuple([tuple(members) for members in groups.values()])
 
     prefer = set(preferred)
-    chosen = tuple([min([m for m in members if m in prefer] or members) for members in classes])
-    return MergePartition(order, classes, chosen)
+    return tuple(
+        [
+            (min([m for m in members if m in prefer] or members), tuple(members))
+            for members in groups.values()
+        ]
+    )
 
 
-def quotient(base: BaseGraph, partition: MergePartition) -> BaseGraph:
-    """Collapse each partition class onto its representative.
+def quotient(base: BaseGraph, partition: tuple[tuple[str, tuple[str, ...]], ...]) -> BaseGraph:
+    """Collapse each class of an ``equivalence_closure`` result onto its representative.
 
     Edge endpoints are remapped; the edge multiset keeps its size, so merging
     the two ends of an edge produces a loop.  A class whose members carry two
     different node labels is a conflict and raises.
 
-    This is the dense construction: the partition covers every vertex of
+    This is the dense construction: the classes cover every vertex of
     ``base``.  ``compose_disjoint`` builds the same graph from the merged
     vertices alone and is tested against it.
     """
-    ids = base.vertex_ids()
-    if len(ids) != len(partition.universe) or base._id_set != frozenset(partition.universe):
+    rep = {m: chosen for chosen, members in partition for m in members}
+    size = sum(len(members) for _, members in partition)
+    if size != len(base.vertices) or base._id_set != rep.keys():
         raise VertexOverlapError("partition universe does not match the graph's vertices")
 
-    rep = partition.representative_of
     lmap = base._label_map
     fused_label: dict[str, str | None] = {}
-    for members, chosen in zip(partition.classes, partition.cross_section):
+    for chosen, members in partition:
         if len(members) == 1:
             fused_label[chosen] = lmap[chosen]
             continue
@@ -209,12 +192,12 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
     named = {v for pair in pairs for v in pair}
     g_named = tuple([v for v in g_base._ids if v in named])
     universe = g_named + tuple([v for v in h_base._ids if v in named])
-    partition = equivalence_closure(pairs, universe, preferred=g_named)
+    classes = equivalence_closure(pairs, universe, preferred=g_named)
 
     g_labels, h_labels = g_base._label_map, h_base._label_map
     moved: dict[str, str] = {}  # merged vertex -> its representative, if another
     fused: dict[str, str] = {}  # representative -> the label it gains, if any
-    for members, chosen in zip(partition.classes, partition.cross_section):
+    for chosen, members in classes:
         label = None
         for m in members:
             own = g_labels[m] if m in g_labels else h_labels[m]

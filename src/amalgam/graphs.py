@@ -325,8 +325,10 @@ def find_isomorphism(g: MsGraph, h: MsGraph) -> dict[str, str] | None:
 
     The bijection must preserve node labels, the edge multiset, and every
     source label.  Backtracking with pruning on (node label, source labels,
-    degree profile); graphs above ``ISO_VERTEX_LIMIT`` vertices raise
-    CapacityError.
+    degree profile): a label names one vertex, so each source-named vertex
+    has a single candidate and is mapped first.  A source naming no vertex
+    makes unequal graphs not isomorphic.  Graphs above ``ISO_VERTEX_LIMIT``
+    vertices raise CapacityError.
     """
     n_g, n_h = len(g.base.vertices), len(h.base.vertices)
     if n_g > ISO_VERTEX_LIMIT or n_h > ISO_VERTEX_LIMIT:
@@ -340,21 +342,9 @@ def find_isomorphism(g: MsGraph, h: MsGraph) -> dict[str, str] | None:
     if g == h:
         return {v.id: v.id for v in g.base.vertices}
 
-    # Source labels are preserved verbatim, so they force part of the mapping.
-    mapping: dict[str, str] = {}
-    used: dict[str, str] = {}
-    for label in g.tau:
-        x, y = g.sources[label], h.sources[label]
-        if mapping.get(x, y) != y or used.get(y, x) != x:
-            return None
-        mapping[x] = y
-        used[y] = x
-
-    if len(mapping) == n_g:
-        # Fully forced: the sources fix the only candidate.
-        return mapping if _is_isomorphism(g, h, mapping) else None
-
     sig_g, sig_h = _signatures(g), _signatures(h)
+    if not (sig_g.keys() >= g._slab_map.keys() and sig_h.keys() >= h._slab_map.keys()):
+        return None  # a source names no vertex
     if Counter(sig_g.values()) != Counter(sig_h.values()):
         return None
 
@@ -363,26 +353,20 @@ def find_isomorphism(g: MsGraph, h: MsGraph) -> dict[str, str] | None:
         buckets.setdefault(s, []).append(v)
 
     pl_g, pl_h = _pair_labels(g.base), _pair_labels(h.base)
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
 
     def compatible(x: str, y: str) -> bool:
-        if sig_g[x] != sig_h[y]:
-            return False
         if pl_g.get((x, x)) != pl_h.get((y, y)):
             return False
         for a, b in mapping.items():
-            if a == x:
-                continue
             if pl_g.get((x, a)) != pl_h.get((y, b)):
                 return False
             if pl_g.get((a, x)) != pl_h.get((b, y)):
                 return False
         return True
 
-    for x, y in list(mapping.items()):
-        if not compatible(x, y):
-            return None
-
-    free = [v.id for v in g.base.vertices if v.id not in mapping]
+    free = [v.id for v in g.base.vertices]
     # Most constrained first: small candidate pools early.
     free.sort(key=lambda v: (len(buckets.get(sig_g[v], ())), v))
 
@@ -391,16 +375,14 @@ def find_isomorphism(g: MsGraph, h: MsGraph) -> dict[str, str] | None:
             return True
         x = free[i]
         for y in buckets.get(sig_g[x], ()):
-            if y in used:
-                continue
-            if not compatible(x, y):
+            if y in used or not compatible(x, y):
                 continue
             mapping[x] = y
-            used[y] = x
+            used.add(y)
             if extend(i + 1):
                 return True
             del mapping[x]
-            del used[y]
+            used.discard(y)
         return False
 
     return dict(mapping) if extend(0) else None

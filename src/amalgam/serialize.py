@@ -45,26 +45,25 @@ def _require(value: Any, kind: type, path: str) -> Any:
     return value
 
 
-def _reject_unknown(doc: Mapping, allowed: set[str], path: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(f"{path}: unknown field(s) {sorted(unknown)}")
+def _object(value: Any, path: str, required: tuple, optional: tuple = ()) -> None:
+    """Check that ``value`` is an object with no unknown field, then no missing one."""
+    _require(value, dict, path)
+    for key in value:
+        if key not in required and key not in optional:
+            unknown = sorted(set(value).difference(required, optional))
+            raise SchemaError(f"{path}: unknown field(s) {unknown}")
+    for key in required:
+        if key not in value:
+            raise SchemaError(f"{path}: missing field {key!r}")
 
 
 def graph_from_document(doc: Any, path: str = "graph") -> MsGraph:
-    _require(doc, dict, path)
-    _reject_unknown(doc, {"vertices", "edges", "sources"}, path)
-    for key in ("vertices", "edges", "sources"):
-        if key not in doc:
-            raise SchemaError(f"{path}: missing field {key!r}")
+    _object(doc, path, ("vertices", "edges", "sources"))
 
     vertices = []
     for i, entry in enumerate(_require(doc["vertices"], list, f"{path}.vertices")):
         vp = f"{path}.vertices[{i}]"
-        _require(entry, dict, vp)
-        _reject_unknown(entry, {"id", "label"}, vp)
-        if "id" not in entry:
-            raise SchemaError(f"{vp}: missing field 'id'")
+        _object(entry, vp, ("id",), ("label",))
         vid = _require(entry["id"], str, f"{vp}.id")
         label = entry.get("label")
         if label is not None:
@@ -74,11 +73,8 @@ def graph_from_document(doc: Any, path: str = "graph") -> MsGraph:
     edges = []
     for i, entry in enumerate(_require(doc["edges"], list, f"{path}.edges")):
         ep = f"{path}.edges[{i}]"
-        _require(entry, dict, ep)
-        _reject_unknown(entry, {"from", "to", "label"}, ep)
+        _object(entry, ep, ("from", "to", "label"))
         for key in ("from", "to", "label"):
-            if key not in entry:
-                raise SchemaError(f"{ep}: missing field {key!r}")
             _require(entry[key], str, f"{ep}.{key}")
         edges.append((entry["from"], entry["to"], entry["label"]))
 
@@ -108,11 +104,13 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def _load_json(text: str) -> Any:
-    """Parse JSON text; malformed text and repeated object keys raise SchemaError."""
+    """Parse JSON text; malformed, key-repeating or too deeply nested text raises SchemaError."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise SchemaError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
+    except RecursionError as err:
+        raise SchemaError("JSON nests too deeply to decode") from err
 
 
 def parse_graph(text: str) -> MsGraph:
@@ -133,16 +131,24 @@ def type_to_document(t: GraphType) -> dict:
     return out
 
 
+# Deepest slot nesting accepted: comparing and rendering types recurse per level.
+_TYPE_DEPTH_LIMIT = 64
+
+
 def type_from_document(doc: Any, path: str = "type") -> GraphType:
+    """Read a type document; slots nested more than 64 deep raise SchemaError."""
+    return _type_from_document(doc, path, 0)
+
+
+def _type_from_document(doc: Any, path: str, depth: int) -> GraphType:
     _require(doc, dict, path)
     entries = {}
     for label, entry in doc.items():
         ep = f"{path}[{label!r}]"
-        _require(entry, dict, ep)
-        _reject_unknown(entry, {"type", "rename"}, ep)
-        if "type" not in entry:
-            raise SchemaError(f"{ep}: missing field 'type'")
-        requested = type_from_document(entry["type"], f"{ep}.type")
+        _object(entry, ep, ("type",), ("rename",))
+        if depth == _TYPE_DEPTH_LIMIT:
+            raise SchemaError(f"{ep}: types nest deeper than {_TYPE_DEPTH_LIMIT} levels")
+        requested = _type_from_document(entry["type"], f"{ep}.type", depth + 1)
         rename = entry.get("rename", {})
         _require(rename, dict, f"{ep}.rename")
         for a, b in rename.items():
@@ -172,11 +178,7 @@ def lexicon_from_document(doc: Any) -> dict[str, AsGraph]:
     out = {}
     for lexeme, entry in doc.items():
         ep = f"lexicon[{lexeme!r}]"
-        _require(entry, dict, ep)
-        _reject_unknown(entry, {"graph", "type"}, ep)
-        for key in ("graph", "type"):
-            if key not in entry:
-                raise SchemaError(f"{ep}: missing field {key!r}")
+        _object(entry, ep, ("graph", "type"))
         graph = graph_from_document(entry["graph"], f"{ep}.graph")
         gtype = type_from_document(entry["type"], f"{ep}.type")
         try:

@@ -100,6 +100,12 @@ def test_properties_respects_pair_budget():
         check_algebraic_properties(OVER_PAIR_BUDGET, trials=1)
 
 
+@pytest.mark.parametrize("campaign", [check_apply_reduction, check_algebraic_properties])
+def test_negative_trials_are_refused(campaign):
+    with pytest.raises(ValueError, match="trials must be non-negative, got -1"):
+        campaign(trials=-1)
+
+
 def test_enumeration_respects_its_budget():
     # 717,714 graphs, over the 500,000 budget: refused before the first graph.
     bounds = EnumerationBounds(max_vertices=7)

@@ -144,6 +144,32 @@ def test_eval_term_nesting_limit(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+def _nested_type(depth: int) -> GraphType:
+    t = EMPTY_TYPE
+    for _ in range(depth):
+        t = GraphType({"x": Slot(t)})
+    return t
+
+
+def test_eval_type_nesting_limit(capsys, tmp_path):
+    # f's slot requests a's whole type, so f's type nests one level deeper.
+    arg = build_graph(["r", "y"], [], {"rt": "r", "x": "y"})
+    fun = build_graph(["r", "z"], [], {"rt": "r", "s": "z"})
+    path = tmp_path / "lexicon.json"
+    for depth, expected in ((64, 0), (65, 2)):
+        inner = _nested_type(depth - 1)
+        lexicon = {"a": AsGraph(arg, inner), "f": AsGraph(fun, GraphType({"s": Slot(inner)}))}
+        path.write_text(serialize_lexicon(lexicon), encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--lexicon", str(path), "--term", "app_s(f,a)")
+        assert code == expected
+        if expected:
+            assert out == ""
+            assert err.startswith("error: lexicon['f'].type['s'].type")
+            assert err.rstrip().endswith("types nest deeper than 64 levels")
+        else:
+            assert parse_graph(out).tau == {"rt", "x"}
+
+
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, fixtures_dir):
     def planted(args):
         raise ValueError("planted fault")
@@ -234,6 +260,15 @@ def test_dot_non_utf8_file(capsys, tmp_path):
     assert err.startswith("error:") and "UTF-8" in err
 
 
+def test_dot_deeply_nested_json(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"vertices": ' + "[" * 2000 + "]" * 2000 + ', "edges": [], "sources": {}}')
+    code, out, err = run(capsys, "dot", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: JSON nests too deeply to decode\n"
+
+
 def test_dot_duplicate_key(capsys, tmp_path):
     bad = tmp_path / "dup.json"
     bad.write_text(
@@ -293,6 +328,32 @@ def test_check_equivalence_takes_no_sampling_flags(capsys):
     with pytest.raises(SystemExit) as err:
         main(["check-equivalence", "--seed", "1"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-reduction", "--trials", "-5"], "argument --trials: expected a non-negative"),
+        (["check-properties", "--trials", "-3"], "argument --trials: expected a non-negative"),
+        (
+            ["check-equivalence", "--max-vertices", "-2"],
+            "argument --max-vertices: expected a non-negative",
+        ),
+        (
+            ["check-equivalence", "--labels", "a,a", "--max-vertices", "1", "--max-edges", "0"],
+            "argument --labels: source labels repeat in 'a,a'",
+        ),
+    ],
+    ids=["negative-reduction-trials", "negative-properties-trials", "negative-max-vertices",
+         "repeated-labels"],
+)
+def test_nonsense_counts_and_labels_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_parser_is_built_once():

@@ -19,14 +19,11 @@ from amalgam import (
     compose_disjoint,
     disjoint_copy,
     enumerate_graphs,
-    equivalence_closure,
-    fresh_ids,
     isomorphic,
-    merge_relation,
     parallel_compose,
     parallel_compose_classic,
-    quotient,
 )
+from amalgam.compose import equivalence_closure, fresh_ids, merge_relation, quotient
 
 
 @pytest.fixture
@@ -84,15 +81,13 @@ def test_merge_relation_requires_disjoint_ids(spread):
 
 
 def test_equivalence_closure_transitivity():
-    part = equivalence_closure([("a", "b"), ("b", "c")], "abcd", preferred=())
-    assert part.classes == (("a", "b", "c"), ("d",))
-    assert part.cross_section == ("a", "d")
-    assert part.representative_of == {"a": "a", "b": "a", "c": "a", "d": "d"}
+    classes = equivalence_closure([("a", "b"), ("b", "c")], "abcd", preferred=())
+    assert classes == (("a", ("a", "b", "c")), ("d", ("d",)))
 
 
 def test_equivalence_closure_prefers_given_ids():
-    part = equivalence_closure([("x", "a")], ["x", "a", "b"], preferred=["a", "b"])
-    assert part.representative_of["x"] == "a"
+    classes = equivalence_closure([("x", "a")], ["x", "a", "b"], preferred=["a", "b"])
+    assert classes == (("a", ("x", "a")), ("b", ("b",)))
 
 
 def test_equivalence_closure_rejects_foreign_pairs():
@@ -209,8 +204,8 @@ def test_composition_steps_agree_with_parallel_compose(spread, stacked):
     assert prime.sources == {"A": "u'", "B": "u'"}
     pairs = merge_relation(spread, prime)
     universe = spread.base.vertex_ids() + prime.base.vertex_ids()
-    part = equivalence_closure(pairs, universe, preferred=spread.base.vertex_ids())
-    assert set(part.representative_of.values()) == {"p"}
+    classes = equivalence_closure(pairs, universe, preferred=spread.base.vertex_ids())
+    assert classes == (("p", ("p", "q", "u'")),)
     result = compose_disjoint(spread, prime)
     assert result == parallel_compose(spread, stacked)
     assert result.base.vertex_ids() == ("p",)
@@ -226,7 +221,7 @@ def _dense_compose(g: MsGraph, h_prime: MsGraph) -> MsGraph:
     if not pairs:
         return MsGraph(union, {**g.sources, **h_prime.sources})
     partition = equivalence_closure(pairs, union.vertex_ids(), preferred=g.base.vertex_ids())
-    rep = partition.representative_of
+    rep = {m: chosen for chosen, members in partition for m in members}
     sources = {a: rep[v] for a, v in g.sources.items()}
     sources.update((a, rep[v]) for a, v in h_prime.sources.items())
     return MsGraph(quotient(union, partition), sources)

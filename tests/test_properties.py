@@ -14,10 +14,8 @@ from amalgam import (
     count_graphs,
     disjoint_copy,
     enumerate_graphs,
-    equivalence_closure,
     find_isomorphism,
     isomorphic,
-    merge_relation,
     parallel_compose,
     parallel_compose_classic,
     parse_graph,
@@ -26,6 +24,7 @@ from amalgam import (
     serialize_graph,
     validate,
 )
+from amalgam.compose import equivalence_closure, merge_relation
 
 IDS = tuple(f"p{i}" for i in range(5))
 NODE_LABELS = (None, "L1", "L2")
@@ -136,10 +135,10 @@ def test_compose_roots_of_merge_classes_survive(g, h):
     except NodeLabelConflictError:
         assume(False)
     universe = g.base.vertex_ids() + h_prime.base.vertex_ids()
-    partition = equivalence_closure(
+    classes = equivalence_closure(
         merge_relation(g, h_prime), universe, preferred=g.base.vertex_ids()
     )
-    rep = partition.representative_of
+    rep = {m: chosen for chosen, members in classes for m in members}
     for operand in (g, h_prime):
         for label, v in operand.sources.items():
             assert out.sources[label] == rep[v]

@@ -106,6 +106,12 @@ def test_empty_graph_document_round_trip():
             },
             "duplicate vertex id",
         ),
+        (
+            {"vertices": [], "edges": [{"from": "a", "to": 5, "label": "e"}], "sources": {}},
+            "edges[0].to: expected string",
+        ),
+        # Two faults in one edge: the missing field is reported first.
+        ({"vertices": [], "edges": [{"from": 5}], "sources": {}}, "missing field 'to'"),
     ],
 )
 def test_graph_document_diagnostics(doc, fragment):
@@ -118,6 +124,14 @@ def test_parse_graph_reports_json_position():
     with pytest.raises(SchemaError) as err:
         parse_graph("{ not json")
     assert "line 1, column" in str(err.value)
+
+
+def test_json_nested_too_deep_to_decode_is_a_schema_error():
+    text = '{"vertices": ' + "[" * 2000 + "]" * 2000 + ', "edges": [], "sources": {}}'
+    with pytest.raises(SchemaError, match="JSON nests too deeply to decode"):
+        parse_graph(text)
+    with pytest.raises(SchemaError, match="JSON nests too deeply to decode"):
+        parse_lexicon('{"it": ' + '{"a": ' * 2000 + "1" + "}" * 2001)
 
 
 def test_parse_graph_rejects_duplicate_keys():
@@ -164,6 +178,21 @@ def test_type_document_diagnostics(doc, fragment):
     with pytest.raises(SchemaError) as err:
         type_from_document(doc)
     assert fragment in str(err.value)
+
+
+def _nested_type_document(depth: int) -> dict:
+    doc: dict = {}
+    for _ in range(depth):
+        doc = {"x": {"type": doc}}
+    return doc
+
+
+def test_type_document_nesting_limit():
+    at_limit = _nested_type_document(64)
+    assert type_to_document(type_from_document(at_limit)) == at_limit
+    for depth in (65, 2000):
+        with pytest.raises(SchemaError, match="types nest deeper than 64 levels"):
+            type_from_document(_nested_type_document(depth))
 
 
 def test_lexicon_round_trip_matches_fixture(fixtures_dir):
