@@ -19,18 +19,23 @@ from enum import Enum
 from typing import Mapping, Union
 
 from .compose import parallel_compose
-from .graphs import CapacityError, GraphError, MsGraph, RenameCollisionError, ROOT_LABEL, validate
+from .graphs import CapacityError, GraphError, MsGraph, RenameCollisionError, ROOT_LABEL
 
 
 class LexiconError(GraphError):
     pass
 
 
+# Deepest slot nesting a type may have: comparing and rendering types recurse per level.
+_TYPE_DEPTH_LIMIT = 64
+
+
 @dataclass(frozen=True)
 class GraphType:
     """A finite map from open source labels to argument expectations.
 
-    The root label is never an entry.  Equality is structural.
+    The root label is never an entry.  Equality is structural.  Slots nest
+    at most 64 levels deep: building a deeper Slot raises CapacityError.
     """
 
     entries: Mapping[str, "Slot"] = field(default_factory=dict)
@@ -56,6 +61,14 @@ class Slot:
         values = list(self.rename.values())
         if len(set(values)) != len(values):
             raise ValueError("slot rename map must be injective")
+        # Slot levels from here down, read off the measured slots below: no recursion.
+        depth = 1
+        for s in self.requested.entries.values():
+            if s._depth >= depth:
+                depth = s._depth + 1
+        if depth > _TYPE_DEPTH_LIMIT:
+            raise CapacityError(f"types nest deeper than {_TYPE_DEPTH_LIMIT} levels")
+        self.__dict__["_depth"] = depth
 
 
 def type_remove(t: GraphType, labels) -> GraphType:
@@ -109,7 +122,7 @@ class AsGraph:
     type: GraphType = EMPTY_TYPE
 
     def __post_init__(self) -> None:
-        problems = validate(self.graph)
+        problems = self.graph._violations
         if problems:
             raise ValueError(
                 "as-graph over an invalid graph: " + "; ".join(p.detail for p in problems)

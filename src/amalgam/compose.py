@@ -58,13 +58,11 @@ def _unknown_vertices(*graphs: MsGraph) -> UnknownVertexError:
     return UnknownVertexError("; ".join([d for g in graphs for d in g._dangling]))
 
 
-def disjoint_copy(
-    h: MsGraph, avoid: MsGraph | Container[str]
-) -> tuple[MsGraph, dict[str, str]]:
+def disjoint_copy(h: MsGraph, avoid: MsGraph | Container[str]) -> MsGraph:
     """An isomorphic copy of ``h`` sharing no vertex ids with ``avoid``.
 
     ``avoid`` is a graph or a bare collection of ids to steer clear of.
-    Returns the copy and the id map from ``h`` vertices to copy vertices.
+    The copy's vertices come in ``h``'s order, each renamed by ``fresh_ids``.
     An edge endpoint or a source that names no vertex of ``h`` raises
     UnknownVertexError.
     """
@@ -75,7 +73,7 @@ def disjoint_copy(
     vertices = tuple(Vertex(vmap[v.id], v.label) for v in h.base.vertices)
     edges = tuple(Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges)
     sources = {a: vmap[v] for a, v in h.sources.items()}
-    return MsGraph(BaseGraph(vertices, edges), sources), vmap
+    return MsGraph(BaseGraph(vertices, edges), sources)
 
 
 def merge_relation(g: MsGraph, h_prime: MsGraph) -> tuple[tuple[str, str], ...]:
@@ -171,7 +169,9 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
 
     Same result as ``parallel_compose(g, h)`` whenever ``h_prime`` is a
     disjoint copy of ``h``; useful when the caller prepares copies up front.
-    Disjointness is enforced, not assumed.
+    Disjointness is enforced, not assumed.  Ids are part of the contract: a
+    vertex no shared label names keeps its id; each merged class becomes its
+    smallest g member and is named by every label of its members.
 
     The closure runs over the vertices named by a shared label only, in
     g-then-h_prime order, so its classes, representatives and conflicts are
@@ -249,8 +249,7 @@ def parallel_compose(g: MsGraph, h: MsGraph) -> MsGraph:
     """
     if g._dangling:
         raise _unknown_vertices(g)
-    h_prime, _ = disjoint_copy(h, g)
-    return compose_disjoint(g, h_prime)
+    return compose_disjoint(g, disjoint_copy(h, g))
 
 
 def parallel_compose_classic(g: MsGraph, h: MsGraph) -> MsGraph:

@@ -144,7 +144,40 @@ class MsGraph:
             src in ids and dst in ids for src, dst, _ in self.base.edges
         ):
             return ()
-        return tuple(p.detail for p in validate(self) if p.invariant.startswith("dangling"))
+        return tuple(p.detail for p in self._violations if p.invariant.startswith("dangling"))
+
+    @_cached
+    def _violations(self) -> tuple[Violation, ...]:
+        """``validate``'s verdict, worked out on first read and kept."""
+        out: list[Violation] = []
+        seen: set[str] = set()
+        for v in self.base.vertices:
+            if v.id in seen:
+                out.append(Violation("duplicate vertex id", f"vertex id {v.id!r} appears twice"))
+            seen.add(v.id)
+            if v.label == "":
+                out.append(Violation("empty node label", f"vertex {v.id!r} has an empty label"))
+        for e in self.base.edges:
+            for endpoint in (e.src, e.dst):
+                if endpoint not in seen:
+                    out.append(
+                        Violation(
+                            "dangling edge endpoint",
+                            f"edge {e.src!r}->{e.dst!r} uses missing vertex {endpoint!r}",
+                        )
+                    )
+            if e.label == "":
+                out.append(Violation("empty edge label", "edges must carry a label"))
+        for label, vertex_id in self.sources.items():
+            if label == "":
+                out.append(Violation("empty source label", "source labels must be non-empty"))
+            if vertex_id not in seen:
+                out.append(
+                    Violation(
+                        "dangling source", f"source {label!r} names missing vertex {vertex_id!r}"
+                    )
+                )
+        return tuple(out)
 
     @_cached
     def _slab_map(self) -> dict[str, frozenset[str]]:
@@ -224,37 +257,9 @@ def validate(g: MsGraph) -> list[Violation]:
     """Check structural invariants, one Violation per problem found.
 
     An empty list means the graph is well formed.  ``invariant`` names the
-    broken rule and ``detail`` describes the problem.
+    broken rule, ``detail`` the problem.  Each call copies a kept verdict.
     """
-    out: list[Violation] = []
-    seen: set[str] = set()
-    for v in g.base.vertices:
-        if v.id in seen:
-            out.append(Violation("duplicate vertex id", f"vertex id {v.id!r} appears twice"))
-        seen.add(v.id)
-        if v.label == "":
-            out.append(Violation("empty node label", f"vertex {v.id!r} has an empty label"))
-    for e in g.base.edges:
-        for endpoint in (e.src, e.dst):
-            if endpoint not in seen:
-                out.append(
-                    Violation(
-                        "dangling edge endpoint",
-                        f"edge {e.src!r}->{e.dst!r} uses missing vertex {endpoint!r}",
-                    )
-                )
-        if e.label == "":
-            out.append(Violation("empty edge label", "edges must carry a label"))
-    for label, vertex_id in g.sources.items():
-        if label == "":
-            out.append(Violation("empty source label", "source labels must be non-empty"))
-        if vertex_id not in seen:
-            out.append(
-                Violation(
-                    "dangling source", f"source {label!r} names missing vertex {vertex_id!r}"
-                )
-            )
-    return out
+    return list(g._violations)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +331,7 @@ def find_isomorphism(g: MsGraph, h: MsGraph) -> dict[str, str] | None:
     The bijection must preserve node labels, the edge multiset, and every
     source label.  Backtracking with pruning on (node label, source labels,
     degree profile): a label names one vertex, so each source-named vertex
-    has a single candidate and is mapped first.  A source naming no vertex
+    has a single candidate and is mapped first.  A dangling edge or source
     makes unequal graphs not isomorphic.  Graphs above ``ISO_VERTEX_LIMIT``
     vertices raise CapacityError.
     """
@@ -341,10 +346,10 @@ def find_isomorphism(g: MsGraph, h: MsGraph) -> dict[str, str] | None:
         return None
     if g == h:
         return {v.id: v.id for v in g.base.vertices}
+    if g._dangling or h._dangling:
+        return None
 
     sig_g, sig_h = _signatures(g), _signatures(h)
-    if not (sig_g.keys() >= g._slab_map.keys() and sig_h.keys() >= h._slab_map.keys()):
-        return None  # a source names no vertex
     if Counter(sig_g.values()) != Counter(sig_h.values()):
         return None
 

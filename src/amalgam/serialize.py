@@ -9,8 +9,9 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from .algebra import App, AsGraph, GraphType, Leaf, Slot, Term, _TERM_DEPTH_LIMIT
-from .graphs import GraphError, MsGraph, ROOT_LABEL, build_graph, validate
+from .algebra import App, AsGraph, GraphType, Leaf, Slot, Term
+from .algebra import _TERM_DEPTH_LIMIT, _TYPE_DEPTH_LIMIT
+from .graphs import GraphError, MsGraph, ROOT_LABEL, build_graph
 
 
 class SchemaError(GraphError):
@@ -83,9 +84,8 @@ def graph_from_document(doc: Any, path: str = "graph") -> MsGraph:
         _require(v, str, f"{path}.sources[{a!r}]")
 
     g = build_graph(vertices, edges, sources)
-    problems = validate(g)
-    if problems:
-        listing = "; ".join(f"{p.invariant} ({p.detail})" for p in problems)
+    if g._violations:
+        listing = "; ".join(f"{p.invariant} ({p.detail})" for p in g._violations)
         raise SchemaError(f"{path}: invalid graph: {listing}")
     return g
 
@@ -129,10 +129,6 @@ def type_to_document(t: GraphType) -> dict:
             entry["rename"] = {a: slot.rename[a] for a in sorted(slot.rename)}
         out[label] = entry
     return out
-
-
-# Deepest slot nesting accepted: comparing and rendering types recurse per level.
-_TYPE_DEPTH_LIMIT = 64
 
 
 def type_from_document(doc: Any, path: str = "type") -> GraphType:

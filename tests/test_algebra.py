@@ -40,6 +40,27 @@ def test_graph_type_rejects_root_entry():
         GraphType({"rt": Slot()})
 
 
+def _nested_type(depth: int) -> GraphType:
+    t = EMPTY_TYPE
+    for _ in range(depth):
+        t = GraphType({"x": Slot(t)})
+    return t
+
+
+def test_graph_type_nesting_limit():
+    # Types compare recursively, and apply compares two separately built
+    # ones level by level, so construction refuses a 65th level.
+    functor = build_graph(["r", "z"], [], {"rt": "r", "s": "z"})
+    argument = build_graph(["r", "y"], [], {"rt": "r", "x": "y"})
+    deepest = GraphType({"s": Slot(_nested_type(63))})
+    out = apply("s", AsGraph(functor, deepest), AsGraph(argument, _nested_type(63)))
+    assert isinstance(out, AsGraph)
+    assert out.type == _nested_type(63)
+    for build in (lambda: GraphType({"s": Slot(_nested_type(64))}), lambda: _nested_type(150)):
+        with pytest.raises(CapacityError, match="types nest deeper than 64 levels"):
+            build()
+
+
 def test_graph_type_domain():
     t = GraphType({"s": Slot(), "o": Slot(NESTED)})
     assert set(t.entries) == {"s", "o"}

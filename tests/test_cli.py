@@ -14,6 +14,7 @@ from amalgam import (
     GraphType,
     Slot,
     build_graph,
+    graph_to_document,
     parse_graph,
     serialize_lexicon,
 )
@@ -144,22 +145,26 @@ def test_eval_term_nesting_limit(capsys, tmp_path):
         assert "Traceback" not in err
 
 
-def _nested_type(depth: int) -> GraphType:
-    t = EMPTY_TYPE
+def _nested_type_document(depth: int) -> dict:
+    doc: dict = {}
     for _ in range(depth):
-        t = GraphType({"x": Slot(t)})
-    return t
+        doc = {"x": {"type": doc}}
+    return doc
 
 
 def test_eval_type_nesting_limit(capsys, tmp_path):
     # f's slot requests a's whole type, so f's type nests one level deeper.
-    arg = build_graph(["r", "y"], [], {"rt": "r", "x": "y"})
-    fun = build_graph(["r", "z"], [], {"rt": "r", "s": "z"})
+    # No GraphType value nests 65 deep, so the documents are written as JSON.
+    arg = graph_to_document(build_graph(["r", "y"], [], {"rt": "r", "x": "y"}))
+    fun = graph_to_document(build_graph(["r", "z"], [], {"rt": "r", "s": "z"}))
     path = tmp_path / "lexicon.json"
     for depth, expected in ((64, 0), (65, 2)):
-        inner = _nested_type(depth - 1)
-        lexicon = {"a": AsGraph(arg, inner), "f": AsGraph(fun, GraphType({"s": Slot(inner)}))}
-        path.write_text(serialize_lexicon(lexicon), encoding="utf-8")
+        inner = _nested_type_document(depth - 1)
+        lexicon = {
+            "a": {"graph": arg, "type": inner},
+            "f": {"graph": fun, "type": {"s": {"type": inner}}},
+        }
+        path.write_text(json.dumps(lexicon), encoding="utf-8")
         code, out, err = run(capsys, "eval", "--lexicon", str(path), "--term", "app_s(f,a)")
         assert code == expected
         if expected:

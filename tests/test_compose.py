@@ -57,21 +57,19 @@ def test_fresh_ids_avoid_each_other():
 
 
 def test_disjoint_copy(spread):
-    copy, vmap = disjoint_copy(spread, spread)
-    assert set(copy.base.vertex_ids()).isdisjoint(spread.base.vertex_ids())
-    assert vmap == {"p": "p'", "q": "q'"}
+    copy = disjoint_copy(spread, spread)
+    assert copy.base.vertex_ids() == ("p'", "q'")
     assert copy.sources == {"A": "p'", "B": "q'"}
     assert isomorphic(copy, spread)
 
 
 def test_disjoint_copy_accepts_bare_id_collections(spread):
-    copy, vmap = disjoint_copy(spread, {"p", "p'", "q"})
-    assert vmap["p"] == "p''"
-    assert vmap["q"] == "q'"
+    copy = disjoint_copy(spread, {"p", "p'", "q"})
+    assert copy.base.vertex_ids() == ("p''", "q'")
 
 
 def test_merge_relation_sorted_by_label(spread, stacked):
-    prime, _ = disjoint_copy(stacked, spread)
+    prime = disjoint_copy(stacked, spread)
     assert merge_relation(spread, prime) == (("p", "u'"), ("q", "u'"))
 
 
@@ -199,8 +197,8 @@ def test_compose_disjoint_enforces_disjointness(spread):
 
 
 def test_composition_steps_agree_with_parallel_compose(spread, stacked):
-    prime, copy_map = disjoint_copy(stacked, spread)
-    assert copy_map == {"u": "u'"}
+    prime = disjoint_copy(stacked, spread)
+    assert prime.base.vertex_ids() == ("u'",)
     assert prime.sources == {"A": "u'", "B": "u'"}
     pairs = merge_relation(spread, prime)
     universe = spread.base.vertex_ids() + prime.base.vertex_ids()
@@ -241,7 +239,7 @@ def test_sparse_core_matches_dense_oracle_on_ms_population():
         max_vertices=2, source_labels=("a", "b"), node_labels=("x", "y"), max_edges=1
     )
     graphs = list(enumerate_graphs(bounds))
-    copies = [disjoint_copy(h, {"v0", "v1"})[0] for h in graphs]
+    copies = [disjoint_copy(h, {"v0", "v1"}) for h in graphs]
     outcomes = {"merged": 0, "conflict": 0}
     for g in graphs:
         for h_prime in copies:
@@ -269,7 +267,7 @@ def graph_inputs(draw):
 @settings(deadline=None, max_examples=200)
 @given(graph_inputs(), graph_inputs())
 def test_sparse_core_matches_dense_oracle(g, h):
-    h_prime, _ = disjoint_copy(h, g)
+    h_prime = disjoint_copy(h, g)
     assert _outcome(compose_disjoint, g, h_prime) == _outcome(_dense_compose, g, h_prime)
 
 

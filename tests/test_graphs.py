@@ -164,6 +164,9 @@ def test_validate_reports_each_violation_class():
         "dangling source",
         "empty source label",
     }
+    # The verdict is kept on the graph, and each call hands out a new list.
+    validate(g).clear()
+    assert len(validate(g)) == 6
 
 
 def test_validate_accepts_well_formed(doubly_sourced):

@@ -79,12 +79,14 @@ def test_multi_label_vertices_must_match():
 def test_sources_naming_no_vertex_are_not_isomorphic():
     # A source must map onto the other graph's source of the same label, and
     # a source that names no vertex cannot: the signatures alone would pair
-    # the two unsourced vertices.
+    # the two unsourced vertices.  Edges to missing vertices likewise.
     g = build_graph(["x"], [], {"a": "ghost"})
     h = build_graph(["y"], [], {"a": "ghost2"})
     assert find_isomorphism(g, h) is None
     assert find_isomorphism(h, g) is None
     assert find_isomorphism(g, build_graph(["y"], [], {"a": "y"})) is None
+    ghost = build_graph(["x", "y"], [("x", "ghost", "e")])
+    assert find_isomorphism(ghost, build_graph(["x", "y"], [("x", "phantom", "e")])) is None
     # Equal values stay isomorphic, as every value is to itself.
     two = build_graph(["x", "y"], [], {"a": "ghost"})
     assert isomorphic(two, build_graph(["x", "y"], [], {"a": "ghost"}))

@@ -129,7 +129,7 @@ def test_compose_preserves_left_sources_literally(g, h):
 def test_compose_roots_of_merge_classes_survive(g, h):
     # The general ms-graph guarantee: each result source is the chosen
     # representative of the class its left (or fresh right) vertex joined.
-    h_prime, _ = disjoint_copy(h, g)
+    h_prime = disjoint_copy(h, g)
     try:
         out = compose_disjoint(g, h_prime)
     except NodeLabelConflictError:
@@ -157,7 +157,7 @@ def test_compose_result_is_valid(g, h):
 def test_compose_entry_points_agree(g, h):
     # Both entry points define exactly the same pairs and agree on them.
     out = try_compose(g, h)
-    prepared, _ = disjoint_copy(h, g)
+    prepared = disjoint_copy(h, g)
     try:
         fused = compose_disjoint(g, prepared)
     except NodeLabelConflictError:
@@ -201,7 +201,7 @@ def test_classic_matches_merge_based_on_sgraphs(g, h):
 @given(ms_graphs())
 def test_iso_reflexive_and_stable_under_copy(g):
     assert isomorphic(g, g)
-    copy, _ = disjoint_copy(g, g)
+    copy = disjoint_copy(g, g)
     assert isomorphic(g, copy)
     mapping = find_isomorphism(g, copy)
     assert mapping is not None and len(mapping) == len(g.base.vertices)
