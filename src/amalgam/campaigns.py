@@ -33,6 +33,7 @@ from .algebra import (
     apply,
 )
 from .compose import (
+    NodeLabelConflictError,
     SGraphRequiredError,
     compose_disjoint,
     disjoint_copy,
@@ -111,6 +112,20 @@ def _population(bounds: EnumerationBounds) -> tuple[list[MsGraph], list[MsGraph]
     return graphs, [disjoint_copy(h, all_ids) for h in graphs]
 
 
+def _compose(g: MsGraph | None, h_prime: MsGraph | None) -> MsGraph | None:
+    """``compose_disjoint(g, h_prime)``, or None for a refusal.
+
+    The composition refuses when fused vertices carry two node labels, and
+    when an operand is itself a refusal (None).
+    """
+    if g is None or h_prime is None:
+        return None
+    try:
+        return compose_disjoint(g, h_prime)
+    except NodeLabelConflictError:
+        return None
+
+
 def check_composition_equivalence(bounds: EnumerationBounds | None = None) -> CampaignReport:
     """Differential sweep of merge-based vs glue-based composition.
 
@@ -118,7 +133,9 @@ def check_composition_equivalence(bounds: EnumerationBounds | None = None) -> Ca
     single-label-per-vertex graphs, since the glue oracle refuses anything
     else) and checks, for every ordered pair: isomorphism of the two
     compositions, the label-set union law, preservation of the left
-    operand's source assignments, and that every left vertex survives.
+    operand's source assignments, and that every left vertex survives.  A
+    pair both compositions refuse with NodeLabelConflictError agrees; a pair
+    only one refuses fails.
     """
     bounds = bounds or DEFAULT_EQUIVALENCE_BOUNDS
     if not bounds.sgraphs_only:
@@ -143,8 +160,20 @@ def check_composition_equivalence(bounds: EnumerationBounds | None = None) -> Ca
         g_tau = g.tau
         g_ids = set(g.base.vertex_ids())
         for h, h_prime in zip(graphs, copies):
-            merged = compose_disjoint(g, h_prime)
-            glued = parallel_compose_classic(g, h)
+            merged = _compose(g, h_prime)
+            try:
+                glued = parallel_compose_classic(g, h)
+            except NodeLabelConflictError:
+                glued = None
+            if merged is None or glued is None:
+                if merged is not glued:
+                    refused = "merge-based" if merged is None else "glue-based"
+                    fail(
+                        g, h,
+                        "both compositions refuse a node-label conflict, or neither does",
+                        f"only the {refused} composition refused",
+                    )
+                continue
             if not isomorphic(merged, glued):
                 fail(g, h, "merge-based result isomorphic to glue-based result", "not isomorphic")
                 continue
@@ -326,7 +355,9 @@ def check_algebraic_properties(
     Identity compares ``g∘∅`` with ``g``, commutativity ``g∘h′`` with ``h′∘g``
     and associativity ``(g∘h′)∘k″`` with ``g∘(h′∘k″)``, h′ and k″ being copies
     disjoint from the population and each other.  A case passes at once when
-    ``_witness_holds``; otherwise ``isomorphic`` searches and decides.
+    ``_witness_holds``; otherwise ``isomorphic`` searches and decides.  Both
+    sides refusing with NodeLabelConflictError agree; one refusing alone
+    does not.
     Identity and commutativity failures break the campaign; associativity
     runs on ``trials`` seeded random triples and records each violation as a
     finding.  A negative ``trials`` raises ValueError.
@@ -340,12 +371,14 @@ def check_algebraic_properties(
     findings: list[Failure] = []
     cases = 0
 
-    def agree(left: MsGraph, right: MsGraph) -> bool:
+    def agree(left: MsGraph | None, right: MsGraph | None) -> bool:
+        if left is None or right is None:
+            return left is right
         return _witness_holds(left, right) or isomorphic(left, right)
 
     for g in graphs:
         cases += 1
-        if not agree(compose_disjoint(g, empty), g):
+        if not agree(_compose(g, empty), g):
             failures.append(
                 Failure(
                     {"graph": graph_to_document(g)},
@@ -357,7 +390,7 @@ def check_algebraic_properties(
     for i, g in enumerate(graphs):
         for h, h_prime in zip(graphs[i:], copies[i:]):
             cases += 1
-            if not agree(compose_disjoint(g, h_prime), compose_disjoint(h_prime, g)):
+            if not agree(_compose(g, h_prime), _compose(h_prime, g)):
                 failures.append(
                     Failure(
                         {"left": graph_to_document(g), "right": graph_to_document(h)},
@@ -372,8 +405,8 @@ def check_algebraic_properties(
     for _ in range(trials):
         cases += 1
         x, y, z = (rng.randrange(len(graphs)) for _ in range(3))
-        left = compose_disjoint(compose_disjoint(graphs[x], copies[y]), seconds[z])
-        right = compose_disjoint(graphs[x], compose_disjoint(copies[y], seconds[z]))
+        left = _compose(_compose(graphs[x], copies[y]), seconds[z])
+        right = _compose(graphs[x], _compose(copies[y], seconds[z]))
         if not agree(left, right):
             findings.append(
                 Failure(

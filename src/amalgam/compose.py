@@ -186,7 +186,7 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
         # Nothing to merge: the composition is a plain union.
         return MsGraph(
             BaseGraph(g_base.vertices + h_base.vertices, g_base.edges + h_base.edges),
-            {**g.sources, **h_prime.sources},
+            g.sources | h_prime.sources,
         )
 
     named = {v for pair in pairs for v in pair}
@@ -288,7 +288,7 @@ def parallel_compose_classic(g: MsGraph, h: MsGraph) -> MsGraph:
                     f"{current!r} and {v.label!r}"
                 )
     h_edges = tuple([Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges])
-    sources = dict(g.sources)
+    sources = g.sources.copy()
     for a, v in h.sources.items():
         sources.setdefault(a, vmap[v])
 

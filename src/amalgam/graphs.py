@@ -13,6 +13,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 ROOT_LABEL = "rt"
@@ -119,14 +120,19 @@ class MsGraph:
     """A multigraph plus a total map from source labels to vertices.
 
     ``sources[label] = vertex_id``.  The label set (``tau``) may be empty;
-    distinct labels may name the same vertex.
+    distinct labels may name the same vertex.  ``sources`` is a read-only
+    view of a private copy, so the verdicts computed once per graph hold.
     """
 
     base: BaseGraph = BaseGraph()
     sources: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sources", dict(self.sources))
+        object.__setattr__(self, "sources", MappingProxyType(dict(self.sources)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; rebuild from a plain copy instead.
+        return type(self), (self.base, self.sources.copy())
 
     @_cached
     def tau(self) -> frozenset[str]:

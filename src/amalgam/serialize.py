@@ -3,15 +3,27 @@
 Serialization is deterministic: equal values produce byte-identical text,
 and parsing a serialized graph reproduces the value exactly (same vertex
 ids, same order), not merely an isomorphic copy.
+
+The document readers refuse a document with SchemaError, whose message
+names the path of the fault (``lexicon['wash'].graph.edges[1].to: expected
+string, got int``).  Every message, and which fault is reported when there
+are several, are part of the interface: within an object an unknown field
+comes before a missing one; a graph reports its vertices, then its edges,
+then its sources, each at the first bad index, and only then its
+invariants; a type reports its entries in document order.  The readers test
+each value's shape inline and build a path only to word an error; the
+fuzz tests hold the earlier, helper-per-value reader as the reference they
+must match.
 """
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from collections import Counter
+from typing import Any, Mapping, Union
 
-from .algebra import App, AsGraph, GraphType, Leaf, Slot, Term
+from .algebra import App, AsGraph, EMPTY_TYPE, GraphType, Leaf, Slot, Term
 from .algebra import _TERM_DEPTH_LIMIT, _TYPE_DEPTH_LIMIT
-from .graphs import GraphError, MsGraph, ROOT_LABEL, build_graph
+from .graphs import BaseGraph, Edge, GraphError, MsGraph, ROOT_LABEL, Vertex
 
 
 class SchemaError(GraphError):
@@ -39,11 +51,10 @@ def graph_to_document(g: MsGraph) -> dict:
     return {"vertices": vertices, "edges": edges, "sources": sources}
 
 
-def _require(value: Any, kind: type, path: str) -> Any:
+def _require(value: Any, kind: type, path: str) -> None:
     names = {dict: "object", list: "array", str: "string"}
     if not isinstance(value, kind):
         raise SchemaError(f"{path}: expected {names[kind]}, got {type(value).__name__}")
-    return value
 
 
 def _object(value: Any, path: str, required: tuple, optional: tuple = ()) -> None:
@@ -58,35 +69,73 @@ def _object(value: Any, path: str, required: tuple, optional: tuple = ()) -> Non
             raise SchemaError(f"{path}: missing field {key!r}")
 
 
-def graph_from_document(doc: Any, path: str = "graph") -> MsGraph:
-    _object(doc, path, ("vertices", "edges", "sources"))
+# A document path is a string, or a ``(parent, key, suffix)`` triple standing
+# for ``parent[key]suffix``; the readers format one only to word an error.
+_Path = Union[str, tuple]
 
+
+def _where(path: _Path) -> str:
+    if isinstance(path, str):
+        return path
+    parent, key, suffix = path
+    return f"{_where(parent)}[{key!r}]{suffix}"
+
+
+def graph_from_document(doc: Any, path: _Path = "graph") -> MsGraph:
+    # Each value's shape is one inline test; the helper behind it runs only
+    # when the test fails, to raise the message the module docstring fixes.
+    if not (
+        isinstance(doc, dict) and len(doc) == 3
+        and "vertices" in doc and "edges" in doc and "sources" in doc
+    ):
+        _object(doc, _where(path), ("vertices", "edges", "sources"))
+
+    entries = doc["vertices"]
+    if not isinstance(entries, list):
+        _require(entries, list, f"{_where(path)}.vertices")
     vertices = []
-    for i, entry in enumerate(_require(doc["vertices"], list, f"{path}.vertices")):
-        vp = f"{path}.vertices[{i}]"
-        _object(entry, vp, ("id",), ("label",))
-        vid = _require(entry["id"], str, f"{vp}.id")
+    for i, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict) and "id" in entry
+            and (len(entry) == 1 or len(entry) == 2 and "label" in entry)
+        ):
+            _object(entry, f"{_where(path)}.vertices[{i}]", ("id",), ("label",))
+        vid = entry["id"]
         label = entry.get("label")
-        if label is not None:
-            label = _require(label, str, f"{vp}.label")
-        vertices.append((vid, label))
+        if not isinstance(vid, str) or label is not None and not isinstance(label, str):
+            vp = f"{_where(path)}.vertices[{i}]"
+            _require(vid, str, f"{vp}.id")
+            _require(label, str, f"{vp}.label")
+        vertices.append(Vertex(vid, label))
 
+    entries = doc["edges"]
+    if not isinstance(entries, list):
+        _require(entries, list, f"{_where(path)}.edges")
     edges = []
-    for i, entry in enumerate(_require(doc["edges"], list, f"{path}.edges")):
-        ep = f"{path}.edges[{i}]"
-        _object(entry, ep, ("from", "to", "label"))
-        for key in ("from", "to", "label"):
-            _require(entry[key], str, f"{ep}.{key}")
-        edges.append((entry["from"], entry["to"], entry["label"]))
+    for i, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict) and len(entry) == 3
+            and "from" in entry and "to" in entry and "label" in entry
+        ):
+            _object(entry, f"{_where(path)}.edges[{i}]", ("from", "to", "label"))
+        src, dst, label = entry["from"], entry["to"], entry["label"]
+        if not (isinstance(src, str) and isinstance(dst, str) and isinstance(label, str)):
+            ep = f"{_where(path)}.edges[{i}]"
+            for key in ("from", "to", "label"):
+                _require(entry[key], str, f"{ep}.{key}")
+        edges.append(Edge(src, dst, label))
 
-    sources = _require(doc["sources"], dict, f"{path}.sources")
+    sources = doc["sources"]
+    if not isinstance(sources, dict):
+        _require(sources, dict, f"{_where(path)}.sources")
     for a, v in sources.items():
-        _require(v, str, f"{path}.sources[{a!r}]")
+        if not isinstance(v, str):
+            _require(v, str, f"{_where(path)}.sources[{a!r}]")
 
-    g = build_graph(vertices, edges, sources)
+    g = MsGraph(BaseGraph(tuple(vertices), tuple(edges)), sources)
     if g._violations:
         listing = "; ".join(f"{p.invariant} ({p.detail})" for p in g._violations)
-        raise SchemaError(f"{path}: invalid graph: {listing}")
+        raise SchemaError(f"{_where(path)}: invalid graph: {listing}")
     return g
 
 
@@ -97,18 +146,23 @@ def serialize_graph(g: MsGraph) -> str:
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     doc = dict(pairs)
     if len(doc) != len(pairs):
-        keys = [k for k, _ in pairs]
-        duplicate = next(k for k in keys if keys.count(k) > 1)
+        counts = Counter(k for k, _ in pairs)
+        duplicate = next(k for k, _ in pairs if counts[k] > 1)
         raise SchemaError(f"duplicate key {duplicate!r}")
     return doc
 
 
 def _load_json(text: str) -> Any:
-    """Parse JSON text; malformed, key-repeating or too deeply nested text raises SchemaError."""
+    """Parse JSON text; malformed, key-repeating or too deeply nested text raises SchemaError.
+
+    So does an integer past Python's digit limit for ``int`` (4,300 by default).
+    """
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise SchemaError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
+    except ValueError as err:  # json.loads' only other ValueError: the int digit limit
+        raise SchemaError(f"JSON integer has too many digits to decode: {err}") from err
     except RecursionError as err:
         raise SchemaError("JSON nests too deeply to decode") from err
 
@@ -131,32 +185,44 @@ def type_to_document(t: GraphType) -> dict:
     return out
 
 
-def type_from_document(doc: Any, path: str = "type") -> GraphType:
+def type_from_document(doc: Any, path: _Path = "type") -> GraphType:
     """Read a type document; slots nested more than 64 deep raise SchemaError."""
     return _type_from_document(doc, path, 0)
 
 
-def _type_from_document(doc: Any, path: str, depth: int) -> GraphType:
-    _require(doc, dict, path)
+def _type_from_document(doc: Any, path: _Path, depth: int) -> GraphType:
+    if not isinstance(doc, dict):
+        _require(doc, dict, _where(path))
     entries = {}
     for label, entry in doc.items():
-        ep = f"{path}[{label!r}]"
-        _object(entry, ep, ("type",), ("rename",))
+        if not (
+            isinstance(entry, dict) and "type" in entry
+            and (len(entry) == 1 or len(entry) == 2 and "rename" in entry)
+        ):
+            _object(entry, f"{_where(path)}[{label!r}]", ("type",), ("rename",))
         if depth == _TYPE_DEPTH_LIMIT:
-            raise SchemaError(f"{ep}: types nest deeper than {_TYPE_DEPTH_LIMIT} levels")
-        requested = _type_from_document(entry["type"], f"{ep}.type", depth + 1)
+            raise SchemaError(
+                f"{_where(path)}[{label!r}]: types nest deeper than {_TYPE_DEPTH_LIMIT} levels"
+            )
+        requested = entry["type"]
+        if isinstance(requested, dict) and not requested:  # most slots: no call needed
+            requested = EMPTY_TYPE
+        else:
+            requested = _type_from_document(requested, (path, label, ".type"), depth + 1)
         rename = entry.get("rename", {})
-        _require(rename, dict, f"{ep}.rename")
+        if not isinstance(rename, dict):
+            _require(rename, dict, f"{_where(path)}[{label!r}].rename")
         for a, b in rename.items():
-            _require(b, str, f"{ep}.rename[{a!r}]")
+            if not isinstance(b, str):
+                _require(b, str, f"{_where(path)}[{label!r}].rename[{a!r}]")
         try:
             entries[label] = Slot(requested, rename)
         except ValueError as err:
-            raise SchemaError(f"{ep}: {err}") from err
+            raise SchemaError(f"{_where(path)}[{label!r}]: {err}") from err
     try:
         return GraphType(entries)
     except ValueError as err:
-        raise SchemaError(f"{path}: {err}") from err
+        raise SchemaError(f"{_where(path)}: {err}") from err
 
 
 def lexicon_to_document(lexicon: Mapping[str, AsGraph]) -> dict:
@@ -170,17 +236,20 @@ def lexicon_to_document(lexicon: Mapping[str, AsGraph]) -> dict:
 
 
 def lexicon_from_document(doc: Any) -> dict[str, AsGraph]:
-    _require(doc, dict, "lexicon")
+    if not isinstance(doc, dict):
+        _require(doc, dict, "lexicon")
     out = {}
     for lexeme, entry in doc.items():
-        ep = f"lexicon[{lexeme!r}]"
-        _object(entry, ep, ("graph", "type"))
-        graph = graph_from_document(entry["graph"], f"{ep}.graph")
-        gtype = type_from_document(entry["type"], f"{ep}.type")
+        if not (
+            isinstance(entry, dict) and len(entry) == 2 and "graph" in entry and "type" in entry
+        ):
+            _object(entry, f"lexicon[{lexeme!r}]", ("graph", "type"))
+        graph = graph_from_document(entry["graph"], ("lexicon", lexeme, ".graph"))
+        gtype = _type_from_document(entry["type"], ("lexicon", lexeme, ".type"), 0)
         try:
             out[lexeme] = AsGraph(graph, gtype)
         except ValueError as err:
-            raise SchemaError(f"{ep}: {err}") from err
+            raise SchemaError(f"lexicon[{lexeme!r}]: {err}") from err
     return out
 
 

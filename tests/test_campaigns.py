@@ -1,6 +1,8 @@
 """Campaign harness on deliberately small populations."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from amalgam import campaigns
@@ -11,6 +13,7 @@ from amalgam import (
     EnumerationBounds,
     Failure,
     MsGraph,
+    NodeLabelConflictError,
     SGraphRequiredError,
     check_algebraic_properties,
     check_apply_reduction,
@@ -55,6 +58,52 @@ def test_equivalence_with_node_labels_is_clean():
     report = check_composition_equivalence(bounds)
     assert report.passed
     assert report.cases_run == count_graphs(bounds) ** 2
+
+
+# 7 graphs; composing two whose sourced vertices carry n1 and n2 is refused.
+TWO_NODE_LABELS = EnumerationBounds(
+    max_vertices=1, node_labels=("n1", "n2"), source_labels=("a",), max_edges=0
+)
+
+
+def test_node_label_conflicts_refused_on_both_sides_agree():
+    n = count_graphs(TWO_NODE_LABELS)
+    report = check_algebraic_properties(TWO_NODE_LABELS, trials=50)
+    assert report.passed and not report.findings
+    assert report.cases_run == n + n * (n + 1) // 2 + 50
+    sgraphs = dataclasses.replace(TWO_NODE_LABELS, sgraphs_only=True)
+    report = check_composition_equivalence(sgraphs)
+    assert report.passed
+    assert report.cases_run == count_graphs(sgraphs) ** 2
+
+
+def test_node_label_conflict_refused_on_one_side_fails(monkeypatch):
+    def refuse(g, h):
+        raise NodeLabelConflictError("planted")
+
+    monkeypatch.setattr(campaigns, "parallel_compose_classic", refuse)
+    report = check_composition_equivalence(SMALL)
+    assert len(report.failures) == report.cases_run
+    assert {f.observed for f in report.failures} == {
+        "only the glue-based composition refused"
+    }
+
+    compose = campaigns.compose_disjoint
+
+    def refuse_copy_first(g, h_prime):
+        if any(v.endswith("'") for v in g.base.vertex_ids()):
+            raise NodeLabelConflictError("planted")
+        return compose(g, h_prime)
+
+    monkeypatch.setattr(campaigns, "compose_disjoint", refuse_copy_first)
+    report = check_algebraic_properties(SMALL, trials=0)
+    # A commutativity pair (graphs[i], graphs[j]), i <= j, now composes on one
+    # side only whenever graphs[j]'s copy has a vertex.
+    graphs = list(enumerate_graphs(SMALL))
+    assert len(report.failures) == sum(j + 1 for j, h in enumerate(graphs) if h.base.vertices)
+    assert {f.expected for f in report.failures} == {
+        "composition is commutative up to isomorphism"
+    }
 
 
 def test_equivalence_refuses_ms_graph_bounds():

@@ -286,6 +286,16 @@ def test_dot_duplicate_key(capsys, tmp_path):
     assert "duplicate key 'rt'" in err
 
 
+def test_dot_over_long_integer(capsys, tmp_path):
+    # json.loads refuses an int past 4,300 digits with a plain ValueError.
+    bad = tmp_path / "long.json"
+    bad.write_text('{"vertices": [], "edges": [], "sources": {"rt": ' + "7" * 5000 + "}}")
+    code, out, err = run(capsys, "dot", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: JSON integer has too many digits to decode")
+
+
 def test_check_equivalence_tiny(capsys):
     code, out, err = run(
         capsys, "check-equivalence", "--max-vertices", "1", "--max-edges", "0"

@@ -1,7 +1,9 @@
 """Core graph type: construction, sources, rename/forget, validation."""
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -62,6 +64,19 @@ def test_sources_are_copied_defensively():
     g = MsGraph(BaseGraph((Vertex("a"),)), mapping)
     mapping["rt"] = "b"
     assert g.sources == {"rt": "a"}
+
+
+def test_sources_are_read_only():
+    # tau, validate's verdict and the other per-graph values are kept after a
+    # first read; a writable sources mapping would let them go stale.
+    g = build_graph(["x"], [], {"a": "x"})
+    assert validate(g) == []
+    with pytest.raises(TypeError):
+        g.sources["b"] = "ghost"
+    assert validate(g) == []
+    assert g.tau == {"a"}
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert copy.deepcopy(g) == g
 
 
 def test_tau_src_slab(doubly_sourced):

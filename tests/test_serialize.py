@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -143,6 +144,17 @@ def test_parse_graph_rejects_duplicate_keys():
     with pytest.raises(SchemaError) as err:
         parse_graph(text)
     assert "duplicate key 'rt'" in str(err.value)
+
+
+def test_duplicate_key_error_names_the_first_repeated_key_quickly():
+    with pytest.raises(SchemaError, match="duplicate key 'a'"):
+        parse_graph('{"a": 1, "b": 2, "b": 3, "a": 4}')
+    # The duplicate is found in linear time: 20,000 keys, the last one repeated.
+    text = "{" + ", ".join(f'"k{i}": 0' for i in range(20_000)) + ', "k19999": 0}'
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="duplicate key 'k19999'"):
+        parse_graph(text)
+    assert time.perf_counter() - start < 1.0
 
 
 # --------------------------------------------------------------------------
