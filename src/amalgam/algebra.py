@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .compose import parallel_compose
@@ -29,8 +30,10 @@ class LexiconError(GraphError):
 # Deepest slot nesting a type may have: comparing and rendering types recurse per level.
 _TYPE_DEPTH_LIMIT = 64
 
+_NO_ENTRIES: Mapping = MappingProxyType({})
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class GraphType:
     """A finite map from open source labels to argument expectations.
 
@@ -40,49 +43,66 @@ class GraphType:
 
     entries: Mapping[str, "Slot"] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", dict(self.entries))
-        if ROOT_LABEL in self.entries:
+    # Fields are written to __dict__ directly; graphs._cached says why.
+    def __init__(self, entries: Mapping[str, "Slot"] = _NO_ENTRIES) -> None:
+        entries = dict(entries)
+        if ROOT_LABEL in entries:
             raise ValueError("the root label cannot be an open slot")
+        self.__dict__["entries"] = entries
 
 
 EMPTY_TYPE = GraphType()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Slot:
     """What one open source expects: an argument type and a rename map."""
 
     requested: GraphType = EMPTY_TYPE
     rename: Mapping[str, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rename", dict(self.rename))
-        values = list(self.rename.values())
-        if len(set(values)) != len(values):
+    def __init__(
+        self, requested: GraphType = EMPTY_TYPE, rename: Mapping[str, str] = _NO_ENTRIES
+    ) -> None:
+        rename = dict(rename)
+        if len(set(rename.values())) != len(rename):
             raise ValueError("slot rename map must be injective")
         # Slot levels from here down, read off the measured slots below: no recursion.
         depth = 1
-        for s in self.requested.entries.values():
+        for s in requested.entries.values():
             if s._depth >= depth:
                 depth = s._depth + 1
         if depth > _TYPE_DEPTH_LIMIT:
             raise CapacityError(f"types nest deeper than {_TYPE_DEPTH_LIMIT} levels")
-        self.__dict__["_depth"] = depth
+        d = self.__dict__
+        d["requested"] = requested
+        d["rename"] = rename
+        d["_depth"] = depth
 
 
 def type_remove(t: GraphType, labels) -> GraphType:
+    """``t`` without the given entries; ``t`` itself when it has none of them."""
     drop = set(labels)
+    if drop.isdisjoint(t.entries):
+        return t
     return GraphType({k: s for k, s in t.entries.items() if k not in drop})
 
 
 def type_restrict(t: GraphType, labels) -> GraphType:
+    """``t`` cut down to the given entries; ``EMPTY_TYPE`` when it has none of them."""
     keep = set(labels)
+    if keep.isdisjoint(t.entries):
+        return EMPTY_TYPE
     return GraphType({k: s for k, s in t.entries.items() if k in keep})
 
 
 def type_rekey(t: GraphType, rename: Mapping[str, str]) -> GraphType:
-    """Push entry keys through the rename map (identity off its domain)."""
+    """Push entry keys through the rename map (identity off its domain).
+
+    ``t`` itself when the map renames none of its entries.
+    """
+    if rename.keys().isdisjoint(t.entries):
+        return t
     out: dict[str, Slot] = {}
     for k, slot in t.entries.items():
         nk = rename.get(k, k)
@@ -110,7 +130,7 @@ def format_type(t: GraphType) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AsGraph:
     """A rooted graph annotated with a graph type.
 
@@ -121,20 +141,23 @@ class AsGraph:
     graph: MsGraph
     type: GraphType = EMPTY_TYPE
 
-    def __post_init__(self) -> None:
-        problems = self.graph._violations
+    def __init__(self, graph: MsGraph, type: GraphType = EMPTY_TYPE) -> None:
+        problems = graph._violations
         if problems:
             raise ValueError(
                 "as-graph over an invalid graph: " + "; ".join(p.detail for p in problems)
             )
-        if ROOT_LABEL not in self.graph.sources:
+        if ROOT_LABEL not in graph.sources:
             raise ValueError("as-graph requires a root source")
-        open_sources = set(self.graph.sources) - {ROOT_LABEL}
-        if set(self.type.entries) != open_sources:
+        open_sources = graph.tau - {ROOT_LABEL}
+        if type.entries.keys() != open_sources:
             raise ValueError(
-                f"type domain {sorted(self.type.entries)} must equal the open "
+                f"type domain {sorted(type.entries)} must equal the open "
                 f"sources {sorted(open_sources)}"
             )
+        d = self.__dict__
+        d["graph"] = graph
+        d["type"] = type
 
 
 class ApplyMode(Enum):
@@ -154,7 +177,7 @@ class ApplyMode(Enum):
 ORIGINAL, RELAXED, RELAXED_STRICT = ApplyMode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Undefined:
     """A failed definedness check: which condition, and why.
 
@@ -167,6 +190,15 @@ class Undefined:
     detail: str
     strict_clause: bool = False
     subterm: str | None = None
+
+    def __init__(
+        self, condition: str, detail: str, strict_clause: bool = False, subterm: str | None = None
+    ) -> None:
+        d = self.__dict__
+        d["condition"] = condition
+        d["detail"] = detail
+        d["strict_clause"] = strict_clause
+        d["subterm"] = subterm
 
     def message(self) -> str:
         where = f" at {self.subterm}" if self.subterm else ""

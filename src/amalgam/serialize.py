@@ -7,10 +7,11 @@ ids, same order), not merely an isomorphic copy.
 The document readers refuse a document with SchemaError, whose message
 names the path of the fault (``lexicon['wash'].graph.edges[1].to: expected
 string, got int``).  Every message, and which fault is reported when there
-are several, are part of the interface: within an object an unknown field
-comes before a missing one; a graph reports its vertices, then its edges,
-then its sources, each at the first bad index, and only then its
-invariants; a type reports its entries in document order.  The readers test
+are several, are part of the interface: within an object a key that is not
+a string (possible only in a document built in Python) comes first, then
+an unknown field, then a missing one; a graph reports its vertices, then
+its edges, then its sources, each at the first bad index, and only then
+its invariants; a type reports its entries in document order.  The readers test
 each value's shape inline and build a path only to word an error; the
 fuzz tests hold the earlier, helper-per-value reader as the reference they
 must match.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping, Union
 
 from .algebra import App, AsGraph, EMPTY_TYPE, GraphType, Leaf, Slot, Term
@@ -57,11 +59,22 @@ def _require(value: Any, kind: type, path: str) -> None:
         raise SchemaError(f"{path}: expected {names[kind]}, got {type(value).__name__}")
 
 
+def _require_key(key: Any, path: str) -> None:
+    if not isinstance(key, str):
+        raise SchemaError(f"{path}[{key!r}]: expected string key, got {type(key).__name__}")
+
+
 def _object(value: Any, path: str, required: tuple, optional: tuple = ()) -> None:
-    """Check that ``value`` is an object with no unknown field, then no missing one."""
+    """Check that ``value`` is an object with no unknown field, then no missing one.
+
+    Unknown fields are named in sorted order, unless one is not a string:
+    the first such key (in document order) is named instead.
+    """
     _require(value, dict, path)
     for key in value:
         if key not in required and key not in optional:
+            for other in value:
+                _require_key(other, path)
             unknown = sorted(set(value).difference(required, optional))
             raise SchemaError(f"{path}: unknown field(s) {unknown}")
     for key in required:
@@ -129,7 +142,8 @@ def graph_from_document(doc: Any, path: _Path = "graph") -> MsGraph:
     if not isinstance(sources, dict):
         _require(sources, dict, f"{_where(path)}.sources")
     for a, v in sources.items():
-        if not isinstance(v, str):
+        if not (isinstance(a, str) and isinstance(v, str)):
+            _require_key(a, f"{_where(path)}.sources")
             _require(v, str, f"{_where(path)}.sources[{a!r}]")
 
     g = MsGraph(BaseGraph(tuple(vertices), tuple(edges)), sources)
@@ -139,8 +153,40 @@ def graph_from_document(doc: Any, path: _Path = "graph") -> MsGraph:
     return g
 
 
+# json.dumps' indent=2 layout for one vertex, one edge and one source.
+_VERTEX = '\n    {\n      "id": %s\n    }'
+_LABELLED_VERTEX = '\n    {\n      "id": %s,\n      "label": %s\n    }'
+_EDGE = '\n    {\n      "from": %s,\n      "to": %s,\n      "label": %s\n    }'
+_SOURCE = "\n    %s: %s"
+
+
+def _block(open_: str, items: list[str], close: str) -> str:
+    return open_ + ",".join(items) + "\n  " + close if items else open_ + close
+
+
 def serialize_graph(g: MsGraph) -> str:
-    return json.dumps(graph_to_document(g), indent=2) + "\n"
+    """``json.dumps(graph_to_document(g), indent=2)`` and a newline, byte for byte.
+
+    Written directly, at a fraction of ``json.dumps``' cost; a graph holding
+    an id or label that is not a string goes through ``json.dumps`` itself.
+    """
+    try:
+        vertices = [
+            _VERTEX % _quote(v.id) if v.label is None
+            else _LABELLED_VERTEX % (_quote(v.id), _quote(v.label))
+            for v in g.base.vertices
+        ]
+        edges = [
+            _EDGE % (_quote(e.src), _quote(e.dst), _quote(e.label)) for e in g.base.edges
+        ]
+        sources = [_SOURCE % (_quote(a), _quote(g.sources[a])) for a in sorted(g.sources)]
+    except TypeError:  # a value that is not a string: json.dumps writes it, or raises
+        return json.dumps(graph_to_document(g), indent=2) + "\n"
+    return (
+        '{\n  "vertices": ' + _block("[", vertices, "]")
+        + ',\n  "edges": ' + _block("[", edges, "]")
+        + ',\n  "sources": ' + _block("{", sources, "}") + "\n}\n"
+    )
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -195,6 +241,8 @@ def _type_from_document(doc: Any, path: _Path, depth: int) -> GraphType:
         _require(doc, dict, _where(path))
     entries = {}
     for label, entry in doc.items():
+        if not isinstance(label, str):
+            _require_key(label, _where(path))
         if not (
             isinstance(entry, dict) and "type" in entry
             and (len(entry) == 1 or len(entry) == 2 and "rename" in entry)
@@ -213,7 +261,8 @@ def _type_from_document(doc: Any, path: _Path, depth: int) -> GraphType:
         if not isinstance(rename, dict):
             _require(rename, dict, f"{_where(path)}[{label!r}].rename")
         for a, b in rename.items():
-            if not isinstance(b, str):
+            if not (isinstance(a, str) and isinstance(b, str)):
+                _require_key(a, f"{_where(path)}[{label!r}].rename")
                 _require(b, str, f"{_where(path)}[{label!r}].rename[{a!r}]")
         try:
             entries[label] = Slot(requested, rename)
@@ -240,6 +289,8 @@ def lexicon_from_document(doc: Any) -> dict[str, AsGraph]:
         _require(doc, dict, "lexicon")
     out = {}
     for lexeme, entry in doc.items():
+        if not isinstance(lexeme, str):
+            _require_key(lexeme, "lexicon")
         if not (
             isinstance(entry, dict) and len(entry) == 2 and "graph" in entry and "type" in entry
         ):

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+import random
 
 import pytest
 
@@ -123,6 +126,19 @@ def test_reduction_campaign_agrees_and_is_deterministic():
     assert a.passed
     assert a.cases_run == 300
     assert a.to_document() == b.to_document()
+
+
+# sha256 of the first 500 generated instances at seed 0, as JSON with sorted
+# keys.  The report digest in the acceptance tests covers only failures, so
+# it cannot see a change to the generated population; this can.
+INSTANCE_STREAM_DIGEST = "442c1d1b95d1ec5a0cdf123cc5768070d192e0dfbb84650a19d176e0434e35d2"
+
+
+def test_reduction_instance_stream_is_pinned():
+    rng = random.Random(0)
+    docs = [campaigns._instance_document(*campaigns._random_instance(rng)) for _ in range(500)]
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == INSTANCE_STREAM_DIGEST
 
 
 def test_reduction_campaign_parameters_recorded():

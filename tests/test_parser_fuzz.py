@@ -2,9 +2,11 @@
 
 The document readers are also checked against a reference: the earlier
 reader, which checked every value through ``_require`` and ``_object`` with
-a path built up front, kept here verbatim (its three entry points prefixed
-``reference_``).  For every document the readers must return equal values,
-or raise the same exception type with the same message.
+a path built up front, kept here (its three entry points prefixed
+``reference_``).  Its one change since: like the readers, it refuses a key
+that is not a string through ``_require_key``.  For every document the
+readers must return equal values, or raise the same exception type with the
+same message.
 """
 from __future__ import annotations
 
@@ -47,11 +49,18 @@ def _require(value: Any, kind: type, path: str) -> Any:
     return value
 
 
+def _require_key(key: Any, path: str) -> None:
+    if not isinstance(key, str):
+        raise SchemaError(f"{path}[{key!r}]: expected string key, got {type(key).__name__}")
+
+
 def _object(value: Any, path: str, required: tuple, optional: tuple = ()) -> None:
     """Check that ``value`` is an object with no unknown field, then no missing one."""
     _require(value, dict, path)
     for key in value:
         if key not in required and key not in optional:
+            for other in value:
+                _require_key(other, path)
             unknown = sorted(set(value).difference(required, optional))
             raise SchemaError(f"{path}: unknown field(s) {unknown}")
     for key in required:
@@ -82,6 +91,7 @@ def reference_graph_from_document(doc: Any, path: str = "graph"):
 
     sources = _require(doc["sources"], dict, f"{path}.sources")
     for a, v in sources.items():
+        _require_key(a, f"{path}.sources")
         _require(v, str, f"{path}.sources[{a!r}]")
 
     g = build_graph(vertices, edges, sources)
@@ -100,6 +110,7 @@ def _reference_type_from_document(doc: Any, path: str, depth: int) -> GraphType:
     _require(doc, dict, path)
     entries = {}
     for label, entry in doc.items():
+        _require_key(label, path)
         ep = f"{path}[{label!r}]"
         _object(entry, ep, ("type",), ("rename",))
         if depth == _TYPE_DEPTH_LIMIT:
@@ -108,6 +119,7 @@ def _reference_type_from_document(doc: Any, path: str, depth: int) -> GraphType:
         rename = entry.get("rename", {})
         _require(rename, dict, f"{ep}.rename")
         for a, b in rename.items():
+            _require_key(a, f"{ep}.rename")
             _require(b, str, f"{ep}.rename[{a!r}]")
         try:
             entries[label] = Slot(requested, rename)
@@ -123,6 +135,7 @@ def reference_lexicon_from_document(doc: Any) -> dict[str, AsGraph]:
     _require(doc, dict, "lexicon")
     out = {}
     for lexeme, entry in doc.items():
+        _require_key(lexeme, "lexicon")
         ep = f"lexicon[{lexeme!r}]"
         _object(entry, ep, ("graph", "type"))
         graph = reference_graph_from_document(entry["graph"], f"{ep}.graph")
@@ -157,10 +170,11 @@ def assert_readers_agree(read, reference, doc) -> str:
 # ---------------------------------------------------------------------------
 # clean failures
 
-# Every field name the schemas know, plus labels and ids they use as keys.
+# Every field name the schemas know, plus labels and ids they use as keys,
+# and a key that is not a string (possible only in a document built in Python).
 KEYS = st.sampled_from(
     ["vertices", "edges", "sources", "id", "label", "from", "to", "type", "rename",
-     "graph", "rt", "s", "a", "v0", ""]
+     "graph", "rt", "s", "a", "v0", "", 1]
 )
 SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
@@ -234,9 +248,9 @@ def test_over_long_json_integer_is_a_schema_error():
 # the readers against the reference
 
 # The empty label in each label pool breaks a graph invariant when drawn; an
-# empty vertex id is legal.
+# empty vertex id is legal.  The label 7 is a key that is not a string.
 IDS = st.sampled_from(["v0", "v1", "v2", "v3", ""])
-LABELS = st.sampled_from(["rt", "s", "o", "a", "rt", "s", "o", "a", ""])
+LABELS = st.sampled_from(["rt", "s", "o", "a", "rt", "s", "o", "a", "", 7])
 NODE_LABELS = st.sampled_from(["-", "-", "-", "wash", "wash", None, ""])  # "-": no field
 EDGE_LABELS = st.sampled_from(["e", "e", "e", "e", ""])
 # Values of the wrong shape for any field, plus a few of the right one; each
@@ -246,7 +260,7 @@ WRONG = st.sampled_from(
 ).map(copy.deepcopy)
 FIELDS = st.sampled_from(
     ["vertices", "edges", "sources", "id", "label", "from", "to", "type", "rename",
-     "graph", "rt", "s", "colour"]
+     "graph", "rt", "s", "colour", 1]
 )
 
 
@@ -297,7 +311,8 @@ ROOTED_GRAPHS = st.sampled_from([
 @st.composite
 def lexicon_documents(draw) -> dict:
     doc = {}
-    for lexeme in draw(st.lists(st.sampled_from(["wash", "self", ""]), max_size=2, unique=True)):
+    lexemes = st.sampled_from(["wash", "self", "", "wash", "self", 0])
+    for lexeme in draw(st.lists(lexemes, max_size=2, unique=True)):
         # Mostly a valid graph and the type its open sources call for.
         if draw(st.integers(0, 3)):
             graph = draw(ROOTED_GRAPHS)

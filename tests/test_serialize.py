@@ -8,15 +8,25 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from amalgam import serialize
 from amalgam import (
     App,
+    AsGraph,
+    BaseGraph,
+    Edge,
+    EnumerationBounds,
     GraphType,
     Leaf,
     SchemaError,
     Slot,
     TermSyntaxError,
+    MsGraph,
+    Vertex,
     build_graph,
+    enumerate_graphs,
+    evaluate,
     export_dot,
     graph_from_document,
     graph_to_document,
@@ -29,7 +39,7 @@ from amalgam import (
     type_from_document,
     type_to_document,
 )
-from conftest import make_lexicon
+from conftest import FIXTURES, make_lexicon
 
 
 @pytest.fixture
@@ -78,6 +88,102 @@ def test_empty_graph_document_round_trip():
     assert parse_graph(serialize_graph(g)) == g
 
 
+# --------------------------------------------------------------------------
+# the graph writer against json.dumps
+
+def dumped(g: MsGraph) -> str:
+    """The text serialize_graph must write: json.dumps' own."""
+    return json.dumps(graph_to_document(g), indent=2) + "\n"
+
+
+def _chain_outputs() -> list[MsGraph]:
+    """Relaxed-mode eval results of 3 to 59 vertices: G_self under a control
+    verb, embedded under up to 28 complement-taking verbs."""
+    lexicon = make_lexicon()
+    say = build_graph(
+        [("v", "say"), "s", "c"], [("v", "s", "ARG0"), ("v", "c", "ARG1")],
+        {"rt": "v", "s": "s", "c": "c"},
+    )
+    lexicon["say"] = AsGraph(say, GraphType({"s": Slot(), "c": Slot()}))
+    lexicon["want"] = AsGraph(say, GraphType({"s": Slot(), "c": Slot(GraphType({"s": Slot()}))}))
+    term = "app_s(app_c(want, app_o(wash, self)), raven)"
+    outputs = []
+    for _ in range(29):
+        outputs.append(evaluate(parse_term(term), lexicon).graph)
+        term = f"app_s(app_c(say, {term}), raven)"
+    return outputs
+
+
+def test_writer_matches_json_dumps_on_populations_fixtures_and_eval_outputs():
+    graphs = [MsGraph(), build_graph([], [], {})]
+    graphs += enumerate_graphs(EnumerationBounds())
+    graphs += enumerate_graphs(EnumerationBounds(sgraphs_only=True))
+    for path in sorted(FIXTURES.glob("*.json")):
+        if path.name == "lexicon.json":
+            graphs += [entry.graph for entry in parse_lexicon(path.read_text()).values()]
+        else:
+            graphs.append(parse_graph(path.read_text()))
+    outputs = _chain_outputs()
+    assert max(len(g.base.vertices) for g in outputs) == 59
+    graphs += outputs
+    assert len(graphs) == 2 + 1963 + 1035 + 5 + 3 + 29
+    for g in graphs:
+        assert serialize_graph(g) == dumped(g)
+
+
+# Quotes, backslashes, control characters, a line separator, non-ASCII, an
+# astral character and a lone surrogate: everything json escapes.
+AWKWARD = st.text(
+    alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\n\t é€\u2028\U0001f600\ud800'), max_size=6
+) | st.text(max_size=4)
+
+
+@st.composite
+def awkward_graphs(draw) -> MsGraph:
+    vertices = tuple(
+        Vertex(draw(AWKWARD), draw(st.none() | AWKWARD)) for _ in range(draw(st.integers(0, 3)))
+    )
+    edges = tuple(
+        Edge(draw(AWKWARD), draw(AWKWARD), draw(AWKWARD)) for _ in range(draw(st.integers(0, 3)))
+    )
+    return MsGraph(BaseGraph(vertices, edges), draw(st.dictionaries(AWKWARD, AWKWARD, max_size=3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(awkward_graphs())
+def test_writer_escapes_like_json_dumps(g):
+    assert serialize_graph(g) == dumped(g)
+
+
+def test_values_that_are_not_strings_take_the_json_dumps_path(monkeypatch):
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return graph_to_document(g)
+
+    monkeypatch.setattr(serialize, "graph_to_document", spy)
+    plain = build_graph(["a"], [("a", "a", "e")], {"rt": "a"})
+    assert serialize_graph(plain) == dumped(plain)
+    assert calls == []
+    odd = [
+        MsGraph(BaseGraph((Vertex(1), Vertex("b", 2.5)), ()), {"rt": "b"}),
+        MsGraph(BaseGraph((Vertex("a"),), (Edge("a", None, "e"),)), {}),
+        MsGraph(BaseGraph((Vertex("a"),), ()), {1: "a", 2: "a"}),
+        MsGraph(BaseGraph((Vertex("a"),), ()), {"rt": True}),
+    ]
+    for g in odd:
+        assert serialize_graph(g) == dumped(g)
+    assert calls == odd
+    assert '"id": 1\n' in dumped(odd[0]) and '"label": 2.5\n' in dumped(odd[0])
+    # Keys json.dumps cannot sort raise the same error as before.
+    mixed = MsGraph(BaseGraph((Vertex("a"),), ()), {1: "a", "rt": "a"})
+    with pytest.raises(TypeError) as err:
+        dumped(mixed)
+    with pytest.raises(TypeError, match=str(err.value)):
+        serialize_graph(mixed)
+
+
 @pytest.mark.parametrize(
     "doc, fragment",
     [
@@ -119,6 +225,56 @@ def test_graph_document_diagnostics(doc, fragment):
     with pytest.raises(SchemaError) as err:
         graph_from_document(doc)
     assert fragment in str(err.value)
+
+
+# Documents built in Python may hold keys that are not strings; JSON text
+# cannot.  Each is refused where it stands, not later by a writer.
+@pytest.mark.parametrize(
+    "read, doc, message",
+    [
+        (graph_from_document, {1: 2, "x": 3}, "graph[1]: expected string key, got int"),
+        (
+            graph_from_document,
+            {"vertices": [{"id": "x"}], "edges": [], "sources": {1: "x", "rt": "x"}},
+            "graph.sources[1]: expected string key, got int",
+        ),
+        (
+            graph_from_document,
+            {"vertices": [{"id": "x", None: 0}], "edges": [], "sources": {}},
+            "graph.vertices[0][None]: expected string key, got NoneType",
+        ),
+        (
+            type_from_document,
+            {1: {"type": {}}, "s": {"type": {}}},
+            "type[1]: expected string key, got int",
+        ),
+        (
+            type_from_document,
+            {"s": {"type": {}, 1: 0, "z": 1}},
+            "type['s'][1]: expected string key, got int",
+        ),
+        (
+            type_from_document,
+            {"s": {"type": {"o": {"type": {}, "rename": {2.5: "b"}}}}},
+            "type['s'].type['o'].rename[2.5]: expected string key, got float",
+        ),
+        (
+            lexicon_from_document,
+            {("a",): {"graph": {}, "type": {}}},
+            "lexicon[('a',)]: expected string key, got tuple",
+        ),
+    ],
+)
+def test_keys_that_are_not_strings_are_schema_errors(read, doc, message):
+    with pytest.raises(SchemaError) as err:
+        read(doc)
+    assert str(err.value) == message
+
+
+def test_unknown_string_fields_are_still_named_in_order():
+    with pytest.raises(SchemaError) as err:
+        graph_from_document({"vertices": [], "edges": [], "sources": {}, "z": 1, "b": 2})
+    assert str(err.value) == "graph: unknown field(s) ['b', 'z']"
 
 
 def test_parse_graph_reports_json_position():
