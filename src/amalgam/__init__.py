@@ -66,16 +66,13 @@ from .serialize import (
     SchemaError,
     TermSyntaxError,
     export_dot,
-    graph_from_document,
     graph_to_document,
-    lexicon_from_document,
     lexicon_to_document,
     parse_graph,
     parse_lexicon,
     parse_term,
     serialize_graph,
     serialize_lexicon,
-    type_from_document,
     type_to_document,
 )
 

@@ -96,11 +96,18 @@ def _population(bounds: EnumerationBounds) -> tuple[list[MsGraph], list[MsGraph]
     """Every graph within the bounds, and a disjoint copy of each.
 
     Raises CapacityError, before enumerating any graph, when the ordered
-    pairs (``count_graphs(bounds)`` squared) are over ``PAIR_BUDGET``.  A copy
-    only depends on the ids in play, so one copy per graph, primed clear of
-    every id in the population, serves every pair; compose_disjoint still
+    pairs (``count_graphs(bounds)`` squared) are over ``PAIR_BUDGET``; when
+    ``max_vertices + 1`` graphs already make too many, before counting.  A
+    copy only depends on the ids in play, so one copy per graph, primed clear
+    of every id in the population, serves every pair; compose_disjoint still
     enforces disjointness per pair.
     """
+    least = bounds.max_vertices + 1  # each vertex count adds at least one graph
+    if least * least > PAIR_BUDGET:
+        raise CapacityError(
+            f"at least {least} graphs (one per vertex count) make at least "
+            f"{least * least} ordered pairs, over the budget of {PAIR_BUDGET}"
+        )
     population = count_graphs(bounds)
     if population * population > PAIR_BUDGET:
         raise CapacityError(

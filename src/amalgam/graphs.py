@@ -446,14 +446,6 @@ class EnumerationBounds:
     allow_loops: bool = False
 
 
-def _multiset_count(options: int, size: int) -> int:
-    if size == 0:
-        return 1
-    if options == 0:
-        return 0
-    return math.comb(options + size - 1, size)
-
-
 def count_graphs(bounds: EnumerationBounds) -> int:
     """Closed-form size of the enumeration space; mirrors enumerate_graphs."""
     total = 0
@@ -468,7 +460,8 @@ def count_graphs(bounds: EnumerationBounds) -> int:
             assignments = (n + 1) ** k
         arcs = n * n if bounds.allow_loops else n * (n - 1)
         arcs *= len(bounds.edge_labels)
-        edge_sets = sum(_multiset_count(arcs, m) for m in range(bounds.max_edges + 1))
+        # Multisets of 0..max_edges arcs, summed by the hockey-stick identity.
+        edge_sets = math.comb(arcs + bounds.max_edges, bounds.max_edges)
         total += labelings * assignments * edge_sets
     return total
 
@@ -479,8 +472,15 @@ def enumerate_graphs(bounds: EnumerationBounds) -> Iterator[MsGraph]:
     Order is lexicographic over (vertex count, node labeling, source
     assignment, edge multiset), so runs are reproducible.  Raises
     CapacityError, before yielding any graph, when ``count_graphs(bounds)``
-    is over ``ENUMERATION_BUDGET``.
+    is over ``ENUMERATION_BUDGET``; when ``max_vertices + 1`` alone is, before
+    counting.
     """
+    least = bounds.max_vertices + 1  # each vertex count adds at least one graph
+    if least > ENUMERATION_BUDGET:
+        raise CapacityError(
+            f"enumeration space has at least {least} graphs (one per vertex count), "
+            f"over the budget of {ENUMERATION_BUDGET}"
+        )
     total = count_graphs(bounds)
     if total > ENUMERATION_BUDGET:
         raise CapacityError(

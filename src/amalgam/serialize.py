@@ -4,24 +4,25 @@ Serialization is deterministic: equal values produce byte-identical text,
 and parsing a serialized graph reproduces the value exactly (same vertex
 ids, same order), not merely an isomorphic copy.
 
-The document readers refuse a document with SchemaError, whose message
-names the path of the fault (``lexicon['wash'].graph.edges[1].to: expected
-string, got int``).  Every message, and which fault is reported when there
-are several, are part of the interface: within an object a key that is not
-a string (possible only in a document built in Python) comes first, then
-an unknown field, then a missing one; a graph reports its vertices, then
-its edges, then its sources, each at the first bad index, and only then
-its invariants; a type reports its entries in document order.  The readers test
-each value's shape inline and build a path only to word an error; the
-fuzz tests hold the earlier, helper-per-value reader as the reference they
-must match.
+Documents are read from JSON text only (``parse_graph``, ``parse_lexicon``).
+A reader refuses a document with SchemaError, whose message names the path
+of the fault (``lexicon['wash'].graph.edges[1].to: expected string, got
+int``).  Every message, and which fault is reported when there are several,
+are part of the interface: within an object an unknown field comes first,
+then a missing one; a graph reports its vertices, then its edges, then its
+sources, each at the first bad index, and only then its invariants; a type
+reports its entries in document order.  Each value's shape is one inline
+test; the helper that words the error runs only when it fails.  Paths are
+plain strings, built per lexicon entry and per nested type, and for a vertex,
+edge or source only to word an error.  The fuzz tests hold the earlier,
+helper-per-value reader as the reference the readers must match.
 """
 from __future__ import annotations
 
 import json
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Mapping, Union
+from typing import Any, Mapping
 
 from .algebra import App, AsGraph, EMPTY_TYPE, GraphType, Leaf, Slot, Term
 from .algebra import _TERM_DEPTH_LIMIT, _TYPE_DEPTH_LIMIT
@@ -59,97 +60,70 @@ def _require(value: Any, kind: type, path: str) -> None:
         raise SchemaError(f"{path}: expected {names[kind]}, got {type(value).__name__}")
 
 
-def _require_key(key: Any, path: str) -> None:
-    if not isinstance(key, str):
-        raise SchemaError(f"{path}[{key!r}]: expected string key, got {type(key).__name__}")
-
-
 def _object(value: Any, path: str, required: tuple, optional: tuple = ()) -> None:
-    """Check that ``value`` is an object with no unknown field, then no missing one.
-
-    Unknown fields are named in sorted order, unless one is not a string:
-    the first such key (in document order) is named instead.
-    """
+    """Check ``value`` is an object with no unknown field (sorted), then no missing one."""
     _require(value, dict, path)
-    for key in value:
-        if key not in required and key not in optional:
-            for other in value:
-                _require_key(other, path)
-            unknown = sorted(set(value).difference(required, optional))
-            raise SchemaError(f"{path}: unknown field(s) {unknown}")
+    unknown = sorted(set(value).difference(required, optional))
+    if unknown:
+        raise SchemaError(f"{path}: unknown field(s) {unknown}")
     for key in required:
         if key not in value:
             raise SchemaError(f"{path}: missing field {key!r}")
 
 
-# A document path is a string, or a ``(parent, key, suffix)`` triple standing
-# for ``parent[key]suffix``; the readers format one only to word an error.
-_Path = Union[str, tuple]
-
-
-def _where(path: _Path) -> str:
-    if isinstance(path, str):
-        return path
-    parent, key, suffix = path
-    return f"{_where(parent)}[{key!r}]{suffix}"
-
-
-def graph_from_document(doc: Any, path: _Path = "graph") -> MsGraph:
-    # Each value's shape is one inline test; the helper behind it runs only
-    # when the test fails, to raise the message the module docstring fixes.
+def _graph_from_document(doc: Any, path: str) -> MsGraph:
     if not (
         isinstance(doc, dict) and len(doc) == 3
         and "vertices" in doc and "edges" in doc and "sources" in doc
     ):
-        _object(doc, _where(path), ("vertices", "edges", "sources"))
+        _object(doc, path, ("vertices", "edges", "sources"))
 
     entries = doc["vertices"]
     if not isinstance(entries, list):
-        _require(entries, list, f"{_where(path)}.vertices")
+        _require(entries, list, f"{path}.vertices")
     vertices = []
     for i, entry in enumerate(entries):
         if not (
             isinstance(entry, dict) and "id" in entry
             and (len(entry) == 1 or len(entry) == 2 and "label" in entry)
         ):
-            _object(entry, f"{_where(path)}.vertices[{i}]", ("id",), ("label",))
+            _object(entry, f"{path}.vertices[{i}]", ("id",), ("label",))
         vid = entry["id"]
         label = entry.get("label")
         if not isinstance(vid, str) or label is not None and not isinstance(label, str):
-            vp = f"{_where(path)}.vertices[{i}]"
+            vp = f"{path}.vertices[{i}]"
             _require(vid, str, f"{vp}.id")
             _require(label, str, f"{vp}.label")
         vertices.append(Vertex(vid, label))
 
     entries = doc["edges"]
     if not isinstance(entries, list):
-        _require(entries, list, f"{_where(path)}.edges")
+        _require(entries, list, f"{path}.edges")
     edges = []
     for i, entry in enumerate(entries):
         if not (
             isinstance(entry, dict) and len(entry) == 3
             and "from" in entry and "to" in entry and "label" in entry
         ):
-            _object(entry, f"{_where(path)}.edges[{i}]", ("from", "to", "label"))
+            _object(entry, f"{path}.edges[{i}]", ("from", "to", "label"))
         src, dst, label = entry["from"], entry["to"], entry["label"]
         if not (isinstance(src, str) and isinstance(dst, str) and isinstance(label, str)):
-            ep = f"{_where(path)}.edges[{i}]"
+            ep = f"{path}.edges[{i}]"
             for key in ("from", "to", "label"):
                 _require(entry[key], str, f"{ep}.{key}")
         edges.append(Edge(src, dst, label))
 
     sources = doc["sources"]
     if not isinstance(sources, dict):
-        _require(sources, dict, f"{_where(path)}.sources")
+        _require(sources, dict, f"{path}.sources")
     for a, v in sources.items():
-        if not (isinstance(a, str) and isinstance(v, str)):
-            _require_key(a, f"{_where(path)}.sources")
-            _require(v, str, f"{_where(path)}.sources[{a!r}]")
+        if not isinstance(v, str):
+            _require(v, str, f"{path}.sources[{a!r}]")
 
     g = MsGraph(BaseGraph(tuple(vertices), tuple(edges)), sources)
     if g._violations:
         listing = "; ".join(f"{p.invariant} ({p.detail})" for p in g._violations)
-        raise SchemaError(f"{_where(path)}: invalid graph: {listing}")
+        raise SchemaError(f"{path}: invalid graph: {listing}")
     return g
 
 
@@ -164,11 +138,14 @@ def _block(open_: str, items: list[str], close: str) -> str:
     return open_ + ",".join(items) + "\n  " + close if items else open_ + close
 
 
-def serialize_graph(g: MsGraph) -> str:
-    """``json.dumps(graph_to_document(g), indent=2)`` and a newline, byte for byte.
+_NOT_STRINGS = "graph vertex ids, labels and source labels must be strings"
 
-    Written directly, at a fraction of ``json.dumps``' cost; a graph holding
-    an id or label that is not a string goes through ``json.dumps`` itself.
+
+def serialize_graph(g: MsGraph) -> str:
+    """What ``json.dumps`` writes for ``graph_to_document(g)`` at ``indent=2``, and a newline.
+
+    Written directly, at a fraction of ``json.dumps``' cost.  An id or label
+    that is not a string, which ``parse_graph`` could not read back, raises SchemaError.
     """
     try:
         vertices = [
@@ -180,8 +157,8 @@ def serialize_graph(g: MsGraph) -> str:
             _EDGE % (_quote(e.src), _quote(e.dst), _quote(e.label)) for e in g.base.edges
         ]
         sources = [_SOURCE % (_quote(a), _quote(g.sources[a])) for a in sorted(g.sources)]
-    except TypeError:  # a value that is not a string: json.dumps writes it, or raises
-        return json.dumps(graph_to_document(g), indent=2) + "\n"
+    except TypeError as err:  # a value that is not a string, or unsortable labels
+        raise SchemaError(_NOT_STRINGS) from err
     return (
         '{\n  "vertices": ' + _block("[", vertices, "]")
         + ',\n  "edges": ' + _block("[", edges, "]")
@@ -214,7 +191,7 @@ def _load_json(text: str) -> Any:
 
 
 def parse_graph(text: str) -> MsGraph:
-    return graph_from_document(_load_json(text))
+    return _graph_from_document(_load_json(text), "graph")
 
 
 # ---------------------------------------------------------------------------
@@ -231,47 +208,39 @@ def type_to_document(t: GraphType) -> dict:
     return out
 
 
-def type_from_document(doc: Any, path: _Path = "type") -> GraphType:
-    """Read a type document; slots nested more than 64 deep raise SchemaError."""
-    return _type_from_document(doc, path, 0)
-
-
-def _type_from_document(doc: Any, path: _Path, depth: int) -> GraphType:
+def _type_from_document(doc: Any, path: str, depth: int) -> GraphType:
     if not isinstance(doc, dict):
-        _require(doc, dict, _where(path))
+        _require(doc, dict, path)
     entries = {}
     for label, entry in doc.items():
-        if not isinstance(label, str):
-            _require_key(label, _where(path))
         if not (
             isinstance(entry, dict) and "type" in entry
             and (len(entry) == 1 or len(entry) == 2 and "rename" in entry)
         ):
-            _object(entry, f"{_where(path)}[{label!r}]", ("type",), ("rename",))
+            _object(entry, f"{path}[{label!r}]", ("type",), ("rename",))
         if depth == _TYPE_DEPTH_LIMIT:
             raise SchemaError(
-                f"{_where(path)}[{label!r}]: types nest deeper than {_TYPE_DEPTH_LIMIT} levels"
+                f"{path}[{label!r}]: types nest deeper than {_TYPE_DEPTH_LIMIT} levels"
             )
         requested = entry["type"]
         if isinstance(requested, dict) and not requested:  # most slots: no call needed
             requested = EMPTY_TYPE
         else:
-            requested = _type_from_document(requested, (path, label, ".type"), depth + 1)
+            requested = _type_from_document(requested, f"{path}[{label!r}].type", depth + 1)
         rename = entry.get("rename", {})
         if not isinstance(rename, dict):
-            _require(rename, dict, f"{_where(path)}[{label!r}].rename")
+            _require(rename, dict, f"{path}[{label!r}].rename")
         for a, b in rename.items():
-            if not (isinstance(a, str) and isinstance(b, str)):
-                _require_key(a, f"{_where(path)}[{label!r}].rename")
-                _require(b, str, f"{_where(path)}[{label!r}].rename[{a!r}]")
+            if not isinstance(b, str):
+                _require(b, str, f"{path}[{label!r}].rename[{a!r}]")
         try:
             entries[label] = Slot(requested, rename)
         except ValueError as err:
-            raise SchemaError(f"{_where(path)}[{label!r}]: {err}") from err
+            raise SchemaError(f"{path}[{label!r}]: {err}") from err
     try:
         return GraphType(entries)
     except ValueError as err:
-        raise SchemaError(f"{_where(path)}: {err}") from err
+        raise SchemaError(f"{path}: {err}") from err
 
 
 def lexicon_to_document(lexicon: Mapping[str, AsGraph]) -> dict:
@@ -284,32 +253,28 @@ def lexicon_to_document(lexicon: Mapping[str, AsGraph]) -> dict:
     }
 
 
-def lexicon_from_document(doc: Any) -> dict[str, AsGraph]:
-    if not isinstance(doc, dict):
-        _require(doc, dict, "lexicon")
-    out = {}
-    for lexeme, entry in doc.items():
-        if not isinstance(lexeme, str):
-            _require_key(lexeme, "lexicon")
-        if not (
-            isinstance(entry, dict) and len(entry) == 2 and "graph" in entry and "type" in entry
-        ):
-            _object(entry, f"lexicon[{lexeme!r}]", ("graph", "type"))
-        graph = graph_from_document(entry["graph"], ("lexicon", lexeme, ".graph"))
-        gtype = _type_from_document(entry["type"], ("lexicon", lexeme, ".type"), 0)
-        try:
-            out[lexeme] = AsGraph(graph, gtype)
-        except ValueError as err:
-            raise SchemaError(f"lexicon[{lexeme!r}]: {err}") from err
-    return out
-
-
 def serialize_lexicon(lexicon: Mapping[str, AsGraph]) -> str:
     return json.dumps(lexicon_to_document(lexicon), indent=2) + "\n"
 
 
 def parse_lexicon(text: str) -> dict[str, AsGraph]:
-    return lexicon_from_document(_load_json(text))
+    doc = _load_json(text)
+    if not isinstance(doc, dict):
+        _require(doc, dict, "lexicon")
+    out = {}
+    for lexeme, entry in doc.items():
+        path = f"lexicon[{lexeme!r}]"
+        if not (
+            isinstance(entry, dict) and len(entry) == 2 and "graph" in entry and "type" in entry
+        ):
+            _object(entry, path, ("graph", "type"))
+        graph = _graph_from_document(entry["graph"], f"{path}.graph")
+        gtype = _type_from_document(entry["type"], f"{path}.type", 0)
+        try:
+            out[lexeme] = AsGraph(graph, gtype)
+        except ValueError as err:
+            raise SchemaError(f"{path}: {err}") from err
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -388,24 +353,29 @@ def parse_term(text: str) -> Term:
 # DOT export
 
 def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    # str.replace, so that a value that is not a string raises TypeError.
+    return str.replace(text, "\\", "\\\\").replace('"', '\\"')
 
 
 def export_dot(g: MsGraph) -> str:
     """Render a graph as a DOT digraph.
 
     Each node's label is its node label (if any) followed by its source
-    labels, comma-separated.  Output order is sorted by vertex and edge ids,
-    so equal graphs render identically.
+    labels, comma-separated.  Output order is sorted by vertex id and by
+    edge, so equal graphs render identically.  A graph holding an id or
+    label that is not a string raises SchemaError, as in ``serialize_graph``.
     """
     lines = ["digraph {"]
-    for v in sorted(g.base.vertices):
-        parts = ([v.label] if v.label is not None else []) + sorted(g.slab(v.id))
-        lines.append(f'  "{_dot_escape(v.id)}" [label="{_dot_escape(", ".join(parts))}"];')
-    for e in sorted(g.base.edges):
-        lines.append(
-            f'  "{_dot_escape(e.src)}" -> "{_dot_escape(e.dst)}" '
-            f'[label="{_dot_escape(e.label)}"];'
-        )
+    try:
+        for v in sorted(g.base.vertices, key=lambda v: v.id):
+            parts = ([v.label] if v.label is not None else []) + sorted(g.slab(v.id))
+            lines.append(f'  "{_dot_escape(v.id)}" [label="{_dot_escape(", ".join(parts))}"];')
+        for e in sorted(g.base.edges):
+            lines.append(
+                f'  "{_dot_escape(e.src)}" -> "{_dot_escape(e.dst)}" '
+                f'[label="{_dot_escape(e.label)}"];'
+            )
+    except TypeError as err:  # a value that is not a string, or unsortable ones
+        raise SchemaError(_NOT_STRINGS) from err
     lines.append("}")
     return "\n".join(lines) + "\n"

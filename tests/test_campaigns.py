@@ -5,10 +5,11 @@ import dataclasses
 import hashlib
 import json
 import random
+import types
 
 import pytest
 
-from amalgam import campaigns
+from amalgam import campaigns, graphs
 from amalgam import (
     BaseGraph,
     CampaignReport,
@@ -17,12 +18,16 @@ from amalgam import (
     Failure,
     MsGraph,
     NodeLabelConflictError,
+    ORIGINAL,
+    RELAXED,
     SGraphRequiredError,
+    Vertex,
     check_algebraic_properties,
     check_apply_reduction,
     check_composition_equivalence,
     count_graphs,
     enumerate_graphs,
+    graph_to_document,
 )
 
 SMALL = EnumerationBounds(max_vertices=2, max_edges=1, sgraphs_only=True)
@@ -109,6 +114,157 @@ def test_node_label_conflict_refused_on_one_side_fails(monkeypatch):
     }
 
 
+# Three graphs: the empty one, a bare vertex, and a vertex carrying a.
+TINY = EnumerationBounds(max_vertices=1, source_labels=("a",), max_edges=0, sgraphs_only=True)
+EMPTY = {"vertices": [], "edges": [], "sources": {}}
+BARE = {"vertices": [{"id": "v0"}], "edges": [], "sources": {}}
+SOURCED = {"vertices": [{"id": "v0"}], "edges": [], "sources": {"a": "v0"}}
+
+
+def planted(monkeypatch, change) -> None:
+    """Make the campaigns' compose_disjoint return ``change`` of its result."""
+    compose = campaigns.compose_disjoint
+    monkeypatch.setattr(campaigns, "compose_disjoint", lambda g, h: change(compose(g, h)))
+
+
+def with_vertex(g: MsGraph, sources: dict) -> MsGraph:
+    return MsGraph(BaseGraph(g.base.vertices + (Vertex("planted"),), g.base.edges), sources)
+
+
+def test_equivalence_reports_a_result_not_isomorphic(monkeypatch):
+    planted(monkeypatch, lambda out: with_vertex(out, out.sources))
+    report = check_composition_equivalence(TINY)
+    assert [f.case for f in report.failures] == [
+        {"left": g, "right": h} for g in (EMPTY, BARE, SOURCED) for h in (EMPTY, BARE, SOURCED)
+    ]
+    assert {(f.expected, f.observed) for f in report.failures} == {
+        ("merge-based result isomorphic to glue-based result", "not isomorphic")
+    }
+
+
+# Each planted fault below passes the isomorphism check, so the campaign
+# goes on to the checks it would otherwise skip.
+@pytest.mark.parametrize(
+    "change, expected, observed",
+    [
+        (
+            lambda out: with_vertex(out, {**out.sources, "z": "planted"}),
+            "label set of the composition is the union of the operands'",
+            [("got ['z']", EMPTY, EMPTY), ("got ['z']", EMPTY, BARE),
+             ("got ['a', 'z']", EMPTY, SOURCED), ("got ['z']", BARE, EMPTY),
+             ("got ['z']", BARE, BARE), ("got ['a', 'z']", BARE, SOURCED),
+             ("got ['a', 'z']", SOURCED, EMPTY), ("got ['a', 'z']", SOURCED, BARE),
+             ("got ['a', 'z']", SOURCED, SOURCED)],
+        ),
+        (
+            lambda out: with_vertex(out, dict.fromkeys(out.sources, "planted")),
+            "left operand's source assignments survive the composition",
+            [("labels ['a'] moved", SOURCED, h) for h in (EMPTY, BARE, SOURCED)],
+        ),
+        (
+            lambda out: MsGraph(
+                BaseGraph(tuple(v for v in out.base.vertices if v.id in out._slab_map)),
+                out.sources,
+            ),
+            "every left-operand vertex is chosen as its class representative",
+            [("some left vertex was dropped", BARE, h) for h in (EMPTY, BARE, SOURCED)],
+        ),
+    ],
+    ids=["label-set", "sources-moved", "left-vertex-dropped"],
+)
+def test_equivalence_reports_each_law_a_result_breaks(monkeypatch, change, expected, observed):
+    planted(monkeypatch, change)
+    monkeypatch.setattr(campaigns, "isomorphic", lambda g, h: True)
+    report = check_composition_equivalence(TINY)
+    assert report.failures == tuple(
+        Failure({"left": g, "right": h}, expected, text) for text, g, h in observed
+    )
+
+
+def test_identity_failures_name_each_operand(monkeypatch):
+    # Composing with the identity's empty operand now adds a vertex.
+    compose = campaigns.compose_disjoint
+    monkeypatch.setattr(
+        campaigns, "compose_disjoint",
+        lambda g, h: with_vertex(g, g.sources) if h == MsGraph() else compose(g, h),
+    )
+    report = check_algebraic_properties(TINY, trials=0)
+    identity = [f for f in report.failures if f.expected.startswith("composing with the empty")]
+    assert identity == [
+        Failure(
+            {"graph": g},
+            "composing with the empty graph changes nothing",
+            "result not isomorphic to the operand",
+        )
+        for g in (EMPTY, BARE, SOURCED)
+    ]
+
+
+def _relaxed_planted(monkeypatch, change) -> None:
+    """Make relaxed-mode apply return ``change`` of its result."""
+    apply = campaigns.apply
+
+    def planted_apply(label, functor, argument, mode):
+        result = apply(label, functor, argument, mode)
+        return change(result) if mode is RELAXED else result
+
+    monkeypatch.setattr(campaigns, "apply", planted_apply)
+
+
+def _instances(trials: int, seed: int) -> list:
+    rng = random.Random(seed)
+    return [campaigns._random_instance(rng) for _ in range(trials)]
+
+
+def test_reduction_reports_definedness_disagreements(monkeypatch):
+    def refuse(result):
+        raise CapacityError("planted")
+
+    _relaxed_planted(monkeypatch, refuse)
+    report = check_apply_reduction(trials=6, seed=0)
+    assert report.failures == tuple(
+        Failure(
+            campaigns._instance_document(*instance),
+            "both modes agree on definedness",
+            f"original={kind}, relaxed=error:CapacityError",
+        )
+        for instance, kind in zip(
+            _instances(6, 0),
+            ["undefined", "undefined", "defined", "undefined", "undefined", "undefined"],
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "change, expected, observed",
+    [
+        (
+            lambda r: types.SimpleNamespace(graph=r.graph, type=None),
+            "both modes produce the same result type",
+            "types differ",
+        ),
+        (
+            lambda r: types.SimpleNamespace(graph=MsGraph(), type=r.type),
+            "both modes produce isomorphic result graphs",
+            "graphs differ",
+        ),
+    ],
+    ids=["types", "graphs"],
+)
+def test_reduction_reports_defined_results_that_differ(monkeypatch, change, expected, observed):
+    defined = [
+        instance for instance in _instances(40, 1)
+        if campaigns._apply_outcome(*instance, ORIGINAL)[0] == "defined"
+    ]
+    assert len(defined) == 12
+    _relaxed_planted(monkeypatch, lambda r: change(r) if hasattr(r, "graph") else r)
+    report = check_apply_reduction(trials=40, seed=1)
+    assert report.failures == tuple(
+        Failure(campaigns._instance_document(*instance), expected, observed)
+        for instance in defined
+    )
+
+
 def test_equivalence_refuses_ms_graph_bounds():
     with pytest.raises(SGraphRequiredError):
         check_composition_equivalence(EnumerationBounds(max_vertices=1))
@@ -177,6 +333,32 @@ def test_enumeration_respects_its_budget():
     assert count_graphs(bounds) == 717_714
     with pytest.raises(CapacityError, match="717714 graphs, over the budget of 500000"):
         next(enumerate_graphs(bounds))
+
+
+def test_budgets_refuse_a_huge_vertex_count_before_counting(monkeypatch):
+    # Each vertex count adds at least one graph, so max_vertices + 1 alone
+    # can be over a budget; then nothing is counted.
+    def uncounted(bounds):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(graphs, "count_graphs", uncounted)
+    monkeypatch.setattr(campaigns, "count_graphs", uncounted)
+    with pytest.raises(CapacityError) as err:
+        check_composition_equivalence(EnumerationBounds(max_vertices=2000, sgraphs_only=True))
+    assert str(err.value) == (
+        "at least 2001 graphs (one per vertex count) make at least 4004001 ordered pairs, "
+        "over the budget of 4000000"
+    )
+    with pytest.raises(CapacityError) as err:
+        next(enumerate_graphs(EnumerationBounds(max_vertices=500_000)))
+    assert str(err.value) == (
+        "enumeration space has at least 500001 graphs (one per vertex count), "
+        "over the budget of 500000"
+    )
+    monkeypatch.undo()
+    # One vertex count fewer: the exact count decides.
+    with pytest.raises(CapacityError, match="^[0-9]+ graphs make [0-9]+ ordered pairs"):
+        check_algebraic_properties(EnumerationBounds(max_vertices=1999, sgraphs_only=True))
 
 
 def count_isomorphic_calls(monkeypatch) -> list[int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -325,6 +326,15 @@ def test_check_properties_tiny(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert report["findings"] == []
+
+
+@pytest.mark.parametrize("flag", ["--max-vertices", "--max-edges"])
+def test_huge_population_bounds_are_refused_at_once(capsys, flag):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-equivalence", flag, str(10**9))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "ordered pairs, over the budget of 4000000" in err
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -129,6 +129,27 @@ def test_unsourced_structure_uses_backtracking():
     assert not isomorphic(triangle, path)
 
 
+def test_backtracking_refutes_two_triangles_against_a_hexagon():
+    # Every vertex of both graphs has one e-arc out and one in, so signatures
+    # agree and only the search tells the graphs apart: it must skip used
+    # and incompatible candidates and undo partial mappings.
+    triangles = build_graph(
+        list("abcdef"),
+        [("a", "b", "e"), ("b", "c", "e"), ("c", "a", "e"),
+         ("d", "e", "e"), ("e", "f", "e"), ("f", "d", "e")],
+        {},
+    )
+    hexagon = build_graph(
+        list("uvwxyz"), [(p, q, "e") for p, q in zip("uvwxyz", "vwxyzu")], {}
+    )
+    assert find_isomorphism(triangles, hexagon) is None
+    assert find_isomorphism(hexagon, triangles) is None
+    assert not any(
+        _is_isomorphism(triangles, hexagon, dict(zip("abcdef", image)))
+        for image in itertools.permutations("uvwxyz")
+    )
+
+
 def test_degree_profiles_prune():
     fan_out = build_graph(["a", "b", "c"], [("a", "b", "e"), ("a", "c", "e")], {})
     chain = build_graph(["a", "b", "c"], [("a", "b", "e"), ("b", "c", "e")], {})

@@ -239,7 +239,7 @@ def test_term_format_parse_round_trip(term):
     n=st.integers(0, 2),
     k=st.integers(0, 2),
     labeled=st.booleans(),
-    m=st.integers(0, 2),
+    m=st.integers(0, 3),
     sgraphs=st.booleans(),
     loops=st.booleans(),
 )

@@ -52,10 +52,8 @@ PUBLIC_NAMES = [
     "find_isomorphism",
     "format_term",
     "format_type",
-    "graph_from_document",
     "graph_to_document",
     "isomorphic",
-    "lexicon_from_document",
     "lexicon_to_document",
     "parallel_compose",
     "parallel_compose_classic",
@@ -64,7 +62,6 @@ PUBLIC_NAMES = [
     "parse_term",
     "serialize_graph",
     "serialize_lexicon",
-    "type_from_document",
     "type_rekey",
     "type_remove",
     "type_restrict",

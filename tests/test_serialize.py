@@ -10,7 +10,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amalgam import serialize
 from amalgam import (
     App,
     AsGraph,
@@ -28,15 +27,12 @@ from amalgam import (
     enumerate_graphs,
     evaluate,
     export_dot,
-    graph_from_document,
     graph_to_document,
-    lexicon_from_document,
     parse_graph,
     parse_lexicon,
     parse_term,
     serialize_graph,
     serialize_lexicon,
-    type_from_document,
     type_to_document,
 )
 from conftest import FIXTURES, make_lexicon
@@ -155,33 +151,25 @@ def test_writer_escapes_like_json_dumps(g):
     assert serialize_graph(g) == dumped(g)
 
 
-def test_values_that_are_not_strings_take_the_json_dumps_path(monkeypatch):
-    calls = []
+# Python can build a graph JSON text cannot hold; neither writer emits one.
+NOT_STRINGS = [
+    MsGraph(BaseGraph((Vertex(1),), ()), {}),
+    MsGraph(BaseGraph((Vertex(1), Vertex("a")), ()), {}),
+    MsGraph(BaseGraph((Vertex("b", 2.5),), ()), {"rt": "b"}),
+    MsGraph(BaseGraph((Vertex("a"),), (Edge("a", None, "e"),)), {}),
+    MsGraph(BaseGraph((Vertex("a"),), (Edge("a", "a", 3),)), {}),
+    MsGraph(BaseGraph((Vertex("a"),), ()), {1: "a", 2: "a"}),
+    MsGraph(BaseGraph((Vertex("a"),), ()), {1: "a", "rt": "a"}),
+    MsGraph(BaseGraph((Vertex(object()),))),
+]
+NOT_STRINGS_MESSAGE = "graph vertex ids, labels and source labels must be strings"
 
-    def spy(g):
-        calls.append(g)
-        return graph_to_document(g)
 
-    monkeypatch.setattr(serialize, "graph_to_document", spy)
-    plain = build_graph(["a"], [("a", "a", "e")], {"rt": "a"})
-    assert serialize_graph(plain) == dumped(plain)
-    assert calls == []
-    odd = [
-        MsGraph(BaseGraph((Vertex(1), Vertex("b", 2.5)), ()), {"rt": "b"}),
-        MsGraph(BaseGraph((Vertex("a"),), (Edge("a", None, "e"),)), {}),
-        MsGraph(BaseGraph((Vertex("a"),), ()), {1: "a", 2: "a"}),
-        MsGraph(BaseGraph((Vertex("a"),), ()), {"rt": True}),
-    ]
-    for g in odd:
-        assert serialize_graph(g) == dumped(g)
-    assert calls == odd
-    assert '"id": 1\n' in dumped(odd[0]) and '"label": 2.5\n' in dumped(odd[0])
-    # Keys json.dumps cannot sort raise the same error as before.
-    mixed = MsGraph(BaseGraph((Vertex("a"),), ()), {1: "a", "rt": "a"})
-    with pytest.raises(TypeError) as err:
-        dumped(mixed)
-    with pytest.raises(TypeError, match=str(err.value)):
-        serialize_graph(mixed)
+@pytest.mark.parametrize("g", NOT_STRINGS + [MsGraph(BaseGraph((Vertex("a"),)), {"rt": True})])
+def test_graph_writer_refuses_values_that_are_not_strings(g):
+    with pytest.raises(SchemaError) as err:
+        serialize_graph(g)
+    assert str(err.value) == NOT_STRINGS_MESSAGE
 
 
 @pytest.mark.parametrize(
@@ -223,57 +211,13 @@ def test_values_that_are_not_strings_take_the_json_dumps_path(monkeypatch):
 )
 def test_graph_document_diagnostics(doc, fragment):
     with pytest.raises(SchemaError) as err:
-        graph_from_document(doc)
+        parse_graph(json.dumps(doc))
     assert fragment in str(err.value)
-
-
-# Documents built in Python may hold keys that are not strings; JSON text
-# cannot.  Each is refused where it stands, not later by a writer.
-@pytest.mark.parametrize(
-    "read, doc, message",
-    [
-        (graph_from_document, {1: 2, "x": 3}, "graph[1]: expected string key, got int"),
-        (
-            graph_from_document,
-            {"vertices": [{"id": "x"}], "edges": [], "sources": {1: "x", "rt": "x"}},
-            "graph.sources[1]: expected string key, got int",
-        ),
-        (
-            graph_from_document,
-            {"vertices": [{"id": "x", None: 0}], "edges": [], "sources": {}},
-            "graph.vertices[0][None]: expected string key, got NoneType",
-        ),
-        (
-            type_from_document,
-            {1: {"type": {}}, "s": {"type": {}}},
-            "type[1]: expected string key, got int",
-        ),
-        (
-            type_from_document,
-            {"s": {"type": {}, 1: 0, "z": 1}},
-            "type['s'][1]: expected string key, got int",
-        ),
-        (
-            type_from_document,
-            {"s": {"type": {"o": {"type": {}, "rename": {2.5: "b"}}}}},
-            "type['s'].type['o'].rename[2.5]: expected string key, got float",
-        ),
-        (
-            lexicon_from_document,
-            {("a",): {"graph": {}, "type": {}}},
-            "lexicon[('a',)]: expected string key, got tuple",
-        ),
-    ],
-)
-def test_keys_that_are_not_strings_are_schema_errors(read, doc, message):
-    with pytest.raises(SchemaError) as err:
-        read(doc)
-    assert str(err.value) == message
 
 
 def test_unknown_string_fields_are_still_named_in_order():
     with pytest.raises(SchemaError) as err:
-        graph_from_document({"vertices": [], "edges": [], "sources": {}, "z": 1, "b": 2})
+        parse_graph('{"vertices": [], "edges": [], "sources": {}, "z": 1, "b": 2}')
     assert str(err.value) == "graph: unknown field(s) ['b', 'z']"
 
 
@@ -316,6 +260,14 @@ def test_duplicate_key_error_names_the_first_repeated_key_quickly():
 # --------------------------------------------------------------------------
 # type and lexicon documents
 
+def read_type(doc) -> GraphType:
+    """The type ``doc`` reads as: the type of a lexicon entry over one vertex
+    that carries the root and every label ``doc`` names."""
+    sources = dict.fromkeys(["rt", *doc] if isinstance(doc, dict) else ["rt"], "v")
+    graph = {"vertices": [{"id": "v"}], "edges": [], "sources": sources}
+    return parse_lexicon(json.dumps({"it": {"graph": graph, "type": doc}}))["it"].type
+
+
 def test_type_document_round_trip():
     t = GraphType(
         {"s": Slot(GraphType({"q": Slot()}), rename={"b": "a"}), "o": Slot()}
@@ -325,7 +277,7 @@ def test_type_document_round_trip():
         "o": {"type": {}},
         "s": {"type": {"q": {"type": {}}}, "rename": {"b": "a"}},
     }
-    assert type_from_document(doc) == t
+    assert read_type(doc) == t
 
 
 def test_type_document_omits_empty_rename():
@@ -344,7 +296,7 @@ def test_type_document_omits_empty_rename():
 )
 def test_type_document_diagnostics(doc, fragment):
     with pytest.raises(SchemaError) as err:
-        type_from_document(doc)
+        read_type(doc)
     assert fragment in str(err.value)
 
 
@@ -357,10 +309,14 @@ def _nested_type_document(depth: int) -> dict:
 
 def test_type_document_nesting_limit():
     at_limit = _nested_type_document(64)
-    assert type_to_document(type_from_document(at_limit)) == at_limit
-    for depth in (65, 2000):
-        with pytest.raises(SchemaError, match="types nest deeper than 64 levels"):
-            type_from_document(_nested_type_document(depth))
+    assert type_to_document(read_type(at_limit)) == at_limit
+    # Past about 490 levels the text nests too deeply for json.loads itself.
+    for depth in (65, 300):
+        with pytest.raises(SchemaError) as err:
+            read_type(_nested_type_document(depth))
+        assert str(err.value) == (
+            "lexicon['it'].type['x']" + ".type['x']" * 64 + ": types nest deeper than 64 levels"
+        )
 
 
 def test_lexicon_round_trip_matches_fixture(fixtures_dir):
@@ -389,7 +345,7 @@ def test_regenerated_fixtures_match_disk(fixtures_dir):
 
 def test_lexicon_diagnostics():
     with pytest.raises(SchemaError) as err:
-        lexicon_from_document({"wash": {"graph": {"vertices": [], "edges": [], "sources": {}}}})
+        parse_lexicon('{"wash": {"graph": {"vertices": [], "edges": [], "sources": {}}}}')
     assert "missing field 'type'" in str(err.value)
     # Type domain disagreeing with the graph's open sources is a data error.
     doc = {
@@ -403,7 +359,7 @@ def test_lexicon_diagnostics():
         }
     }
     with pytest.raises(SchemaError) as err:
-        lexicon_from_document(doc)
+        parse_lexicon(json.dumps(doc))
     assert "type domain" in str(err.value)
 
 
@@ -508,6 +464,21 @@ def test_dot_output_is_sorted():
     text = export_dot(g)
     assert text.index('"a" [') < text.index('"z" [')
     assert text.index('"a" -> "z"') < text.index('"z" -> "a"')
+
+
+@pytest.mark.parametrize("g", NOT_STRINGS)
+def test_dot_refuses_values_that_are_not_strings(g):
+    with pytest.raises(SchemaError) as err:
+        export_dot(g)
+    assert str(err.value) == NOT_STRINGS_MESSAGE
+
+
+def test_dot_sorts_vertices_by_id_alone():
+    # A repeated id, with and without a label: no label is compared.
+    g = MsGraph(BaseGraph((Vertex("b"), Vertex("a", "x"), Vertex("a"))), {})
+    assert export_dot(g).splitlines() == [
+        "digraph {", '  "a" [label="x"];', '  "a" [label=""];', '  "b" [label=""];', "}"
+    ]
 
 
 def test_json_documents_are_pure_json(sample):
