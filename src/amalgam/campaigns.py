@@ -10,9 +10,12 @@ Three campaigns back the core claims with executable evidence:
   original and relaxed apply variants agree;
 * algebraic properties: identity and commutativity of composition
   (exhaustive) and associativity (seeded random triples, reported as
-  findings).  Each law compares two ``compose_disjoint`` results through
-  the vertex bijection the construction fixes; the isomorphism search runs
-  only when that check fails, so the verdicts are those of the search.
+  findings), each one row of a law table that a single loop runs.
+
+Every sweep compares two results through ``_agree``: two refusals agree,
+one alone does not; equal graphs agree at once, then the vertex bijection
+the construction fixes (``_witness_holds``) is tried, and the isomorphism
+search runs only when both fail, so the verdicts are those of the search.
 
 Reports are plain data and deterministic for a given (bounds, seed).
 """
@@ -46,10 +49,11 @@ from .graphs import (
     MsGraph,
     ROOT_LABEL,
     build_graph,
-    count_graphs,
     enumerate_graphs,
     isomorphic,
+    _count_below,
     _is_isomorphism,
+    _COUNT_DIGITS,
 )
 from .serialize import graph_to_document, type_to_document
 
@@ -97,7 +101,8 @@ def _population(bounds: EnumerationBounds) -> tuple[list[MsGraph], list[MsGraph]
 
     Raises CapacityError, before enumerating any graph, when the ordered
     pairs (``count_graphs(bounds)`` squared) are over ``PAIR_BUDGET``; when
-    ``max_vertices + 1`` graphs already make too many, before counting.  A
+    ``max_vertices + 1`` graphs already make too many, before counting; and
+    it stops counting once the pairs would pass ``_COUNT_DIGITS`` digits.  A
     copy only depends on the ids in play, so one copy per graph, primed clear
     of every id in the population, serves every pair; compose_disjoint still
     enforces disjointness per pair.
@@ -108,11 +113,16 @@ def _population(bounds: EnumerationBounds) -> tuple[list[MsGraph], list[MsGraph]
             f"at least {least} graphs (one per vertex count) make at least "
             f"{least * least} ordered pairs, over the budget of {PAIR_BUDGET}"
         )
-    population = count_graphs(bounds)
-    if population * population > PAIR_BUDGET:
+    digits = _COUNT_DIGITS // 2  # so the pair count prints in full
+    population = _count_below(bounds, digits)
+    if population is None or population * population > PAIR_BUDGET:
+        count, pairs = (
+            (f"at least 10^{digits}", f"at least 10^{2 * digits}")
+            if population is None
+            else (population, population * population)
+        )
         raise CapacityError(
-            f"{population} graphs make {population * population} ordered pairs, "
-            f"over the budget of {PAIR_BUDGET}"
+            f"{count} graphs make {pairs} ordered pairs, over the budget of {PAIR_BUDGET}"
         )
     graphs = list(enumerate_graphs(bounds))
     all_ids = {v for g in graphs for v in g.base._ids}
@@ -131,6 +141,46 @@ def _compose(g: MsGraph | None, h_prime: MsGraph | None) -> MsGraph | None:
         return compose_disjoint(g, h_prime)
     except NodeLabelConflictError:
         return None
+
+
+def _glue(g: MsGraph, h: MsGraph) -> MsGraph | None:
+    """``parallel_compose_classic(g, h)``, or None for a node-label refusal."""
+    try:
+        return parallel_compose_classic(g, h)
+    except NodeLabelConflictError:
+        return None
+
+
+def _witness_holds(left: MsGraph, right: MsGraph) -> bool:
+    """True when ``left`` equals ``right`` or the construction's bijection carries it there.
+
+    ``compose_disjoint`` fixes that bijection by its id contract: a vertex no
+    label names keeps its id, and the vertex label ``a`` names goes to
+    ``right.sources[a]``.  Other graphs get the same candidate, which
+    ``_is_isomorphism`` checks in full, so True always means isomorphic.
+    False decides nothing.
+    """
+    if left == right:
+        return True
+    witness = {v: v for v in left.base._ids}
+    for a, v in left.sources.items():
+        witness[v] = right.sources.get(a)
+    return _is_isomorphism(left, right, witness)
+
+
+def _agree(left: MsGraph | None, right: MsGraph | None) -> bool:
+    """Two results agree when both are refusals (None) or isomorphic graphs.
+
+    ``_witness_holds`` settles most pairs; ``isomorphic`` searches the rest.
+    """
+    if left is None or right is None:
+        return left is right
+    return _witness_holds(left, right) or isomorphic(left, right)
+
+
+def _failure(keys: tuple, operands: tuple, expected: str, observed: str) -> Failure:
+    """A failure whose case holds each operand's document under its key."""
+    return Failure(dict(zip(keys, map(graph_to_document, operands))), expected, observed)
 
 
 def check_composition_equivalence(bounds: EnumerationBounds | None = None) -> CampaignReport:
@@ -152,57 +202,35 @@ def check_composition_equivalence(bounds: EnumerationBounds | None = None) -> Ca
         )
     graphs, copies = _population(bounds)
     failures: list[Failure] = []
-
-    def fail(g: MsGraph, h: MsGraph, expected: str, observed: str) -> None:
-        failures.append(
-            Failure(
-                {"left": graph_to_document(g), "right": graph_to_document(h)},
-                expected,
-                observed,
-            )
-        )
-
+    pair = ("left", "right")
     for g in graphs:
         g_sources = g.sources
         g_tau = g.tau
         g_ids = set(g.base.vertex_ids())
         for h, h_prime in zip(graphs, copies):
-            merged = _compose(g, h_prime)
-            try:
-                glued = parallel_compose_classic(g, h)
-            except NodeLabelConflictError:
-                glued = None
-            if merged is None or glued is None:
-                if merged is not glued:
+            merged, glued = _compose(g, h_prime), _glue(g, h)
+            if not _agree(merged, glued):
+                if merged is None or glued is None:
                     refused = "merge-based" if merged is None else "glue-based"
-                    fail(
-                        g, h,
-                        "both compositions refuse a node-label conflict, or neither does",
-                        f"only the {refused} composition refused",
-                    )
+                    expected = "both compositions refuse a node-label conflict, or neither does"
+                    observed = f"only the {refused} composition refused"
+                else:
+                    expected = "merge-based result isomorphic to glue-based result"
+                    observed = "not isomorphic"
+                failures.append(_failure(pair, (g, h), expected, observed))
                 continue
-            if not isomorphic(merged, glued):
-                fail(g, h, "merge-based result isomorphic to glue-based result", "not isomorphic")
+            if merged is None:  # both refused
                 continue
             if merged.tau != g_tau | h.tau:
-                fail(
-                    g, h,
-                    "label set of the composition is the union of the operands'",
-                    f"got {sorted(merged.tau)}",
-                )
+                expected = "label set of the composition is the union of the operands'"
+                failures.append(_failure(pair, (g, h), expected, f"got {sorted(merged.tau)}"))
             bad = [a for a in g_sources if merged.sources[a] != g_sources[a]]
             if bad:
-                fail(
-                    g, h,
-                    "left operand's source assignments survive the composition",
-                    f"labels {bad} moved",
-                )
+                expected = "left operand's source assignments survive the composition"
+                failures.append(_failure(pair, (g, h), expected, f"labels {bad} moved"))
             if not g_ids <= {v.id for v in merged.base.vertices}:
-                fail(
-                    g, h,
-                    "every left-operand vertex is chosen as its class representative",
-                    "some left vertex was dropped",
-                )
+                expected = "every left-operand vertex is chosen as its class representative"
+                failures.append(_failure(pair, (g, h), expected, "some left vertex was dropped"))
 
     return CampaignReport(
         campaign="composition-equivalence",
@@ -321,7 +349,7 @@ def check_apply_reduction(*, trials: int = 10_000, seed: int = 0) -> CampaignRep
             continue
         elif res_orig.type != res_rel.type:
             expected, observed = "both modes produce the same result type", "types differ"
-        elif not isomorphic(res_orig.graph, res_rel.graph):
+        elif not _agree(res_orig.graph, res_rel.graph):
             expected = "both modes produce isomorphic result graphs"
             observed = "graphs differ"
         else:
@@ -338,19 +366,6 @@ def check_apply_reduction(*, trials: int = 10_000, seed: int = 0) -> CampaignRep
 # ---------------------------------------------------------------------------
 # algebraic properties
 
-def _witness_holds(left: MsGraph, right: MsGraph) -> bool:
-    """True when the bijection the construction fixes carries ``left`` onto ``right``.
-
-    Both are ``compose_disjoint`` results over the same operands: by its id
-    contract a vertex no label names keeps its id, and the vertex label ``a``
-    names goes to ``right.sources[a]``.  False decides nothing.
-    """
-    witness = {v: v for v in left.base._ids}
-    for a, v in left.sources.items():
-        witness[v] = right.sources.get(a)
-    return _is_isomorphism(left, right, witness)
-
-
 def check_algebraic_properties(
     bounds: EnumerationBounds | None = None,
     *,
@@ -361,10 +376,9 @@ def check_algebraic_properties(
 
     Identity compares ``g∘∅`` with ``g``, commutativity ``g∘h′`` with ``h′∘g``
     and associativity ``(g∘h′)∘k″`` with ``g∘(h′∘k″)``, h′ and k″ being copies
-    disjoint from the population and each other.  A case passes at once when
-    ``_witness_holds``; otherwise ``isomorphic`` searches and decides.  Both
-    sides refusing with NodeLabelConflictError agree; one refusing alone
-    does not.
+    disjoint from the population and each other, so ``_agree`` settles each
+    case by the construction's bijection before any search.  Both sides
+    refusing with NodeLabelConflictError agree; one refusing alone does not.
     Identity and commutativity failures break the campaign; associativity
     runs on ``trials`` seeded random triples and records each violation as a
     finding.  A negative ``trials`` raises ValueError.
@@ -374,58 +388,36 @@ def check_algebraic_properties(
     bounds = bounds or DEFAULT_EQUIVALENCE_BOUNDS
     graphs, copies = _population(bounds)
     empty = MsGraph()
-    failures: list[Failure] = []
-    findings: list[Failure] = []
-    cases = 0
-
-    def agree(left: MsGraph | None, right: MsGraph | None) -> bool:
-        if left is None or right is None:
-            return left is right
-        return _witness_holds(left, right) or isomorphic(left, right)
-
-    for g in graphs:
-        cases += 1
-        if not agree(_compose(g, empty), g):
-            failures.append(
-                Failure(
-                    {"graph": graph_to_document(g)},
-                    "composing with the empty graph changes nothing",
-                    "result not isomorphic to the operand",
-                )
-            )
-
-    for i, g in enumerate(graphs):
-        for h, h_prime in zip(graphs[i:], copies[i:]):
-            cases += 1
-            if not agree(_compose(g, h_prime), _compose(h_prime, g)):
-                failures.append(
-                    Failure(
-                        {"left": graph_to_document(g), "right": graph_to_document(h)},
-                        "composition is commutative up to isomorphism",
-                        "operand order changed the result",
-                    )
-                )
-
     taken = {v for c in graphs + copies for v in c.base._ids}
     seconds = [disjoint_copy(h, taken) for h in graphs]
     rng = random.Random(seed)
-    for _ in range(trials):
-        cases += 1
-        x, y, z = (rng.randrange(len(graphs)) for _ in range(3))
-        left = _compose(_compose(graphs[x], copies[y]), seconds[z])
-        right = _compose(graphs[x], _compose(copies[y], seconds[z]))
-        if not agree(left, right):
-            findings.append(
-                Failure(
-                    {
-                        "first": graph_to_document(graphs[x]),
-                        "second": graph_to_document(graphs[y]),
-                        "third": graph_to_document(graphs[z]),
-                    },
-                    "composition is associative up to isomorphism",
-                    "grouping changed the result",
-                )
-            )
+    n = len(graphs)
+    triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(trials))
+    failures: list[Failure] = []
+    findings: list[Failure] = []
+    # One row per law: case keys, expected, observed, where a violation goes,
+    # and its cases as (operands, left side, right side).
+    laws = (
+        (("graph",), "composing with the empty graph changes nothing",
+         "result not isomorphic to the operand", failures,
+         (((g,), _compose(g, empty), g) for g in graphs)),
+        (("left", "right"), "composition is commutative up to isomorphism",
+         "operand order changed the result", failures,
+         (((g, h), _compose(g, h_prime), _compose(h_prime, g))
+          for i, g in enumerate(graphs) for h, h_prime in zip(graphs[i:], copies[i:]))),
+        (("first", "second", "third"), "composition is associative up to isomorphism",
+         "grouping changed the result", findings,
+         (((graphs[x], graphs[y], graphs[z]),
+           _compose(_compose(graphs[x], copies[y]), seconds[z]),
+           _compose(graphs[x], _compose(copies[y], seconds[z])))
+          for x, y, z in triples)),
+    )
+    cases = 0
+    for keys, expected, observed, sink, law_cases in laws:
+        for operands, left, right in law_cases:
+            cases += 1
+            if not _agree(left, right):
+                sink.append(_failure(keys, operands, expected, observed))
 
     return CampaignReport(
         campaign="algebraic-properties",

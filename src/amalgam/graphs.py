@@ -24,6 +24,10 @@ ISO_VERTEX_LIMIT = 64
 # Ceiling on how many graphs enumerate_graphs may produce.
 ENUMERATION_BUDGET = 500_000
 
+# Budget refusals print a count in full up to this many digits, Python's
+# default limit for converting an int to text.
+_COUNT_DIGITS = 4300
+
 
 class GraphError(Exception):
     """Base class for data-level errors raised by this package."""
@@ -448,22 +452,63 @@ class EnumerationBounds:
 
 def count_graphs(bounds: EnumerationBounds) -> int:
     """Closed-form size of the enumeration space; mirrors enumerate_graphs."""
+    return _count_below(bounds, None)
+
+
+def _count_below(bounds: EnumerationBounds, digits: int | None) -> int | None:
+    """``count_graphs(bounds)`` if it has at most ``digits`` digits, else None.
+
+    Stops as soon as a partial sum or a single factor reaches ``10**digits``,
+    so a budget check never builds a number much past it.  A ``digits`` of
+    None counts exactly.
+    """
+    limit = None if digits is None else 10**digits - 1
     total = 0
     k = len(bounds.source_labels)
     for n in range(bounds.max_vertices + 1):
-        labelings = (len(bounds.node_labels) + 1) ** n
+        labelings = _power(len(bounds.node_labels) + 1, n, limit)
         if bounds.sgraphs_only:
-            assignments = sum(
-                math.comb(k, j) * math.perm(n, j) for j in range(min(k, n) + 1)
-            )
+            # The sum over j of comb(k, j) * perm(n, j), term by term.
+            assignments = term = 1
+            for j in range(min(k, n)):
+                term = term * (k - j) * (n - j) // (j + 1)
+                assignments += term
+                if limit is not None and assignments > limit:
+                    return None
         else:
-            assignments = (n + 1) ** k
+            assignments = _power(n + 1, k, limit)
         arcs = n * n if bounds.allow_loops else n * (n - 1)
         arcs *= len(bounds.edge_labels)
         # Multisets of 0..max_edges arcs, summed by the hockey-stick identity.
-        edge_sets = math.comb(arcs + bounds.max_edges, bounds.max_edges)
+        edge_sets = _comb(arcs + bounds.max_edges, bounds.max_edges, limit)
+        if labelings is None or assignments is None or edge_sets is None:
+            return None
         total += labelings * assignments * edge_sets
+        if limit is not None and total > limit:
+            return None
     return total
+
+
+def _power(base: int, exp: int, limit: int | None) -> int | None:
+    """``base ** exp``, or None when it is over ``limit``."""
+    if limit is None or base < 2:
+        return base**exp
+    if (base.bit_length() - 1) * exp > limit.bit_length():
+        return None
+    power = base**exp  # under 2 ** (2 * limit.bit_length())
+    return power if power <= limit else None
+
+
+def _comb(n: int, k: int, limit: int | None) -> int | None:
+    """``math.comb(n, k)``, or None once a partial product is over ``limit``."""
+    if limit is None:
+        return math.comb(n, k)
+    c = 1
+    for i in range(min(k, n - k)):
+        c = c * (n - i) // (i + 1)  # comb(n, i + 1), rising while i < n / 2
+        if c > limit:
+            return None
+    return c
 
 
 def enumerate_graphs(bounds: EnumerationBounds) -> Iterator[MsGraph]:
@@ -473,7 +518,7 @@ def enumerate_graphs(bounds: EnumerationBounds) -> Iterator[MsGraph]:
     assignment, edge multiset), so runs are reproducible.  Raises
     CapacityError, before yielding any graph, when ``count_graphs(bounds)``
     is over ``ENUMERATION_BUDGET``; when ``max_vertices + 1`` alone is, before
-    counting.
+    counting.  A count past ``_COUNT_DIGITS`` digits is not finished.
     """
     least = bounds.max_vertices + 1  # each vertex count adds at least one graph
     if least > ENUMERATION_BUDGET:
@@ -481,10 +526,11 @@ def enumerate_graphs(bounds: EnumerationBounds) -> Iterator[MsGraph]:
             f"enumeration space has at least {least} graphs (one per vertex count), "
             f"over the budget of {ENUMERATION_BUDGET}"
         )
-    total = count_graphs(bounds)
-    if total > ENUMERATION_BUDGET:
+    total = _count_below(bounds, _COUNT_DIGITS)
+    if total is None or total > ENUMERATION_BUDGET:
+        shown = f"at least 10^{_COUNT_DIGITS}" if total is None else total
         raise CapacityError(
-            f"enumeration space has {total} graphs, "
+            f"enumeration space has {shown} graphs, "
             f"over the budget of {ENUMERATION_BUDGET}"
         )
     label_options: tuple[str | None, ...] = (None,) + tuple(bounds.node_labels)

@@ -5,11 +5,12 @@ import dataclasses
 import hashlib
 import json
 import random
+import time
 import types
 
 import pytest
 
-from amalgam import campaigns, graphs
+from amalgam import campaigns, cli, graphs
 from amalgam import (
     BaseGraph,
     CampaignReport,
@@ -200,6 +201,90 @@ def test_identity_failures_name_each_operand(monkeypatch):
     ]
 
 
+def _ticked(g: MsGraph, ticks: int) -> bool:
+    return any(v.endswith("'" * ticks) for v in g.base.vertex_ids())
+
+
+COMMUTED = [(EMPTY, BARE), (EMPTY, SOURCED), (BARE, BARE), (BARE, SOURCED), (SOURCED, SOURCED)]
+# The first 12 triples seed 0 draws from TINY whose three graphs all have a vertex.
+REGROUPED = [
+    (BARE, SOURCED, BARE), (BARE, BARE, BARE), (BARE, SOURCED, SOURCED),
+    (SOURCED, BARE, BARE), (BARE, BARE, SOURCED),
+]
+
+
+# Each planted composition breaks one law only, so the report holds exactly
+# that law's failure documents, in sweep order.
+@pytest.mark.parametrize(
+    "planted_compose, trials, failures, findings",
+    [
+        (
+            # Associativity also composes population graphs with empty
+            # copies, so it is not run.
+            lambda compose: lambda g, h: (
+                with_vertex(g, g.sources)
+                if h == MsGraph() and not _ticked(g, 1)
+                else compose(g, h)
+            ),
+            0,
+            [
+                Failure(
+                    {"graph": g},
+                    "composing with the empty graph changes nothing",
+                    "result not isomorphic to the operand",
+                )
+                for g in (EMPTY, BARE, SOURCED)
+            ],
+            [],
+        ),
+        (
+            # h′∘g gains a vertex whenever the copy h′ has one.
+            lambda compose: lambda g, h: (
+                with_vertex(compose(g, h), compose(g, h).sources)
+                if _ticked(g, 1)
+                else compose(g, h)
+            ),
+            12,
+            [
+                Failure(
+                    {"left": g, "right": h},
+                    "composition is commutative up to isomorphism",
+                    "operand order changed the result",
+                )
+                for g, h in COMMUTED
+            ],
+            [],
+        ),
+        (
+            # A copy composed with a second copy k″ returns k″ alone.
+            lambda compose: lambda g, h: (
+                h if _ticked(g, 1) and _ticked(h, 2) else compose(g, h)
+            ),
+            12,
+            [],
+            [
+                Failure(
+                    {"first": x, "second": y, "third": z},
+                    "composition is associative up to isomorphism",
+                    "grouping changed the result",
+                )
+                for x, y, z in REGROUPED
+            ],
+        ),
+    ],
+    ids=["identity", "commutativity", "associativity"],
+)
+def test_each_law_reports_its_whole_failure(
+    monkeypatch, planted_compose, trials, failures, findings
+):
+    monkeypatch.setattr(
+        campaigns, "compose_disjoint", planted_compose(campaigns.compose_disjoint)
+    )
+    report = check_algebraic_properties(TINY, trials=trials, seed=0)
+    assert report.failures == tuple(failures)
+    assert report.findings == tuple(findings)
+
+
 def _relaxed_planted(monkeypatch, change) -> None:
     """Make relaxed-mode apply return ``change`` of its result."""
     apply = campaigns.apply
@@ -338,11 +423,11 @@ def test_enumeration_respects_its_budget():
 def test_budgets_refuse_a_huge_vertex_count_before_counting(monkeypatch):
     # Each vertex count adds at least one graph, so max_vertices + 1 alone
     # can be over a budget; then nothing is counted.
-    def uncounted(bounds):
+    def uncounted(bounds, digits):
         raise AssertionError("counted")
 
-    monkeypatch.setattr(graphs, "count_graphs", uncounted)
-    monkeypatch.setattr(campaigns, "count_graphs", uncounted)
+    monkeypatch.setattr(graphs, "_count_below", uncounted)
+    monkeypatch.setattr(campaigns, "_count_below", uncounted)
     with pytest.raises(CapacityError) as err:
         check_composition_equivalence(EnumerationBounds(max_vertices=2000, sgraphs_only=True))
     assert str(err.value) == (
@@ -359,6 +444,41 @@ def test_budgets_refuse_a_huge_vertex_count_before_counting(monkeypatch):
     # One vertex count fewer: the exact count decides.
     with pytest.raises(CapacityError, match="^[0-9]+ graphs make [0-9]+ ordered pairs"):
         check_algebraic_properties(EnumerationBounds(max_vertices=1999, sgraphs_only=True))
+
+
+@pytest.mark.parametrize("command", ["check-equivalence", "check-properties"])
+def test_counts_past_printing_are_refused_at_once(capsys, command):
+    # The population would have thousands of digits: the count stops early.
+    start = time.perf_counter()
+    code = cli.main([command, "--max-vertices", "100", "--max-edges", str(10**9)])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: at least 10^2150 graphs make at least 10^4300 ordered pairs, "
+        "over the budget of 4000000\n"
+    )
+    with pytest.raises(CapacityError, match="^enumeration space has at least 10\\^4300 graphs"):
+        next(enumerate_graphs(EnumerationBounds(max_vertices=100, max_edges=10**9)))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        EnumerationBounds(),
+        OVER_PAIR_BUDGET,
+        EnumerationBounds(max_vertices=5, node_labels=("x", "y"), max_edges=3, allow_loops=True),
+        EnumerationBounds(
+            max_vertices=6, source_labels=tuple("abcdefgh"), edge_labels=("e", "f"),
+            max_edges=4, sgraphs_only=True,
+        ),
+    ],
+)
+def test_count_stops_exactly_past_its_digits(bounds):
+    exact = count_graphs(bounds)
+    digits = len(str(exact))
+    assert graphs._count_below(bounds, digits) == exact
+    assert graphs._count_below(bounds, digits - 1) is None
 
 
 def count_isomorphic_calls(monkeypatch) -> list[int]:
@@ -383,6 +503,32 @@ def test_witness_never_falls_back_to_search(monkeypatch, bounds, trials):
     n = count_graphs(bounds)
     assert report.cases_run == n + n * (n + 1) // 2 + trials
     assert calls[0] == 0
+
+
+def test_equivalence_and_reduction_never_search(monkeypatch):
+    # Equal results agree at once and the rest by the witness.
+    calls = count_isomorphic_calls(monkeypatch)
+    assert check_composition_equivalence(SMALL).passed
+    assert check_apply_reduction(trials=300, seed=7).passed
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        graphs.build_graph(["x", "y"], [("x", "y", "e"), ("y", "y", "e")]),
+        graphs.build_graph(["x"], [("x", "ghost", "e")], {"a": "nowhere"}),
+    ],
+    ids=["unsourced", "dangling"],
+)
+def test_witness_holds_on_equal_graphs_without_a_witness(monkeypatch, g):
+    # Equality is checked first, so equal inputs need no witness, whether or
+    # not they are compose_disjoint results.
+    def unchecked(g, h, mapping):
+        raise AssertionError("witness checked")
+
+    monkeypatch.setattr(campaigns, "_is_isomorphism", unchecked)
+    assert campaigns._witness_holds(g, MsGraph(BaseGraph(g.base.vertices, g.base.edges), g.sources))
 
 
 def test_wrong_witness_falls_back_to_search(monkeypatch):
