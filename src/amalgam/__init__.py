@@ -22,9 +22,6 @@ from .algebra import (
     evaluate,
     format_term,
     format_type,
-    type_rekey,
-    type_remove,
-    type_restrict,
 )
 from .campaigns import (
     CampaignReport,

@@ -14,7 +14,7 @@ mechanism behind reflexive readings) while guarding the problematic cases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Union
@@ -39,16 +39,22 @@ class GraphType:
 
     The root label is never an entry.  Equality is structural.  Slots nest
     at most 64 levels deep: building a deeper Slot raises CapacityError.
+    ``entries`` is a read-only view of a private copy, so the depth each
+    enclosing Slot measured holds.
     """
 
-    entries: Mapping[str, "Slot"] = field(default_factory=dict)
+    entries: Mapping[str, "Slot"]
 
     # Fields are written to __dict__ directly; graphs._cached says why.
     def __init__(self, entries: Mapping[str, "Slot"] = _NO_ENTRIES) -> None:
         entries = dict(entries)
         if ROOT_LABEL in entries:
             raise ValueError("the root label cannot be an open slot")
-        self.__dict__["entries"] = entries
+        self.__dict__["entries"] = MappingProxyType(entries)
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; rebuild from a plain copy instead.
+        return type(self), (self.entries.copy(),)
 
 
 EMPTY_TYPE = GraphType()
@@ -56,10 +62,13 @@ EMPTY_TYPE = GraphType()
 
 @dataclass(frozen=True, init=False)
 class Slot:
-    """What one open source expects: an argument type and a rename map."""
+    """What one open source expects: an argument type and a rename map.
 
-    requested: GraphType = EMPTY_TYPE
-    rename: Mapping[str, str] = field(default_factory=dict)
+    ``rename`` is a read-only view of a private copy, so it stays injective.
+    """
+
+    requested: GraphType
+    rename: Mapping[str, str]
 
     def __init__(
         self, requested: GraphType = EMPTY_TYPE, rename: Mapping[str, str] = _NO_ENTRIES
@@ -76,8 +85,11 @@ class Slot:
             raise CapacityError(f"types nest deeper than {_TYPE_DEPTH_LIMIT} levels")
         d = self.__dict__
         d["requested"] = requested
-        d["rename"] = rename
+        d["rename"] = MappingProxyType(rename)
         d["_depth"] = depth
+
+    def __reduce__(self):
+        return type(self), (self.requested, self.rename.copy())
 
 
 def type_remove(t: GraphType, labels) -> GraphType:
@@ -86,14 +98,6 @@ def type_remove(t: GraphType, labels) -> GraphType:
     if drop.isdisjoint(t.entries):
         return t
     return GraphType({k: s for k, s in t.entries.items() if k not in drop})
-
-
-def type_restrict(t: GraphType, labels) -> GraphType:
-    """``t`` cut down to the given entries; ``EMPTY_TYPE`` when it has none of them."""
-    keep = set(labels)
-    if keep.isdisjoint(t.entries):
-        return EMPTY_TYPE
-    return GraphType({k: s for k, s in t.entries.items() if k in keep})
 
 
 def type_rekey(t: GraphType, rename: Mapping[str, str]) -> GraphType:
@@ -139,7 +143,7 @@ class AsGraph:
     """
 
     graph: MsGraph
-    type: GraphType = EMPTY_TYPE
+    type: GraphType
 
     def __init__(self, graph: MsGraph, type: GraphType = EMPTY_TYPE) -> None:
         problems = graph._violations
@@ -188,8 +192,8 @@ class Undefined:
 
     condition: str
     detail: str
-    strict_clause: bool = False
-    subterm: str | None = None
+    strict_clause: bool
+    subterm: str | None
 
     def __init__(
         self, condition: str, detail: str, strict_clause: bool = False, subterm: str | None = None
@@ -250,8 +254,8 @@ def apply(
                 f"has type {format_type(remainder)}",
             )
         # condition 2b: discharged slots must agree with the functor's own
-        for beta, s in type_restrict(t2, rlab2).entries.items():
-            if t1.entries.get(beta) != s:
+        for beta, s in t2.entries.items():
+            if beta in rlab2 and t1.entries.get(beta) != s:
                 return Undefined(
                     "condition 2b",
                     f"the argument's extra root label {beta!r} must match the "

@@ -15,16 +15,18 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .algebra import ApplyMode, Undefined, evaluate
 from .campaigns import (
+    DEFAULT_EQUIVALENCE_BOUNDS,
     check_algebraic_properties,
     check_apply_reduction,
     check_composition_equivalence,
 )
 from .compose import parallel_compose, parallel_compose_classic
-from .graphs import EnumerationBounds, GraphError, MsGraph, isomorphic
+from .graphs import GraphError, MsGraph, isomorphic
 from .serialize import (
     SchemaError,
     export_dot,
@@ -62,12 +64,13 @@ def _labels(text: str) -> tuple[str, ...]:
     return labels
 
 
-def _bounds_from(args: argparse.Namespace) -> EnumerationBounds:
-    return EnumerationBounds(
+def _bounds_from(args: argparse.Namespace):
+    """The campaigns' default population, resized by the command line."""
+    return replace(
+        DEFAULT_EQUIVALENCE_BOUNDS,
         max_vertices=args.max_vertices,
         source_labels=args.labels,
         max_edges=args.max_edges,
-        sgraphs_only=True,
     )
 
 
@@ -145,11 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "dot"), default="json")
 
+    default = DEFAULT_EQUIVALENCE_BOUNDS
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--max-vertices", type=_count, default=3)
-    bounds.add_argument("--max-edges", type=_count, default=2)
+    bounds.add_argument("--max-vertices", type=_count, default=default.max_vertices)
+    bounds.add_argument("--max-edges", type=_count, default=default.max_edges)
     bounds.add_argument(
-        "--labels", type=_labels, default="a,b,rt", help="comma-separated source labels"
+        "--labels",
+        type=_labels,
+        default=default.source_labels,
+        help="comma-separated source labels",
     )
 
     seed = argparse.ArgumentParser(add_help=False)

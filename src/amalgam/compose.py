@@ -13,6 +13,11 @@ reusing every vertex and edge the merge leaves alone.  ``quotient`` keeps
 the dense construction over the whole disjoint union; it is the reference
 the sparse core is tested against.
 
+``parallel_compose`` and ``parallel_compose_classic`` refuse an operand with
+an edge endpoint or a source that names no vertex: UnknownVertexError.
+``compose_disjoint`` refuses only a shared source that names no vertex of
+either operand, and passes other dangling endpoints and sources through.
+
 ``parallel_compose_classic`` keeps the older construction that simply glues
 the second graph's source vertices onto the first's.  It is only defined
 when both inputs have at most one label per vertex and serves as an
@@ -177,8 +182,11 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
     g-then-h_prime order, so its classes, representatives and conflicts are
     those of the dense closure over the whole union.  The result is then
     built in one pass over both operands; ``quotient`` over the union gives
-    the same value.  An edge endpoint, or an unshared source, that names no
-    vertex passes through unchanged.
+    the same value.  A shared source that names no vertex of either operand
+    raises UnknownVertexError, which lists each edge endpoint and source of
+    either operand that names no vertex, as ``validate`` words them.  An edge
+    endpoint, or an unshared source, that names no vertex otherwise passes
+    through unchanged.
     """
     pairs = merge_relation(g, h_prime)
     g_base, h_base = g.base, h_prime.base
@@ -192,6 +200,8 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
     named = {v for pair in pairs for v in pair}
     g_named = tuple([v for v in g_base._ids if v in named])
     universe = g_named + tuple([v for v in h_base._ids if v in named])
+    if len(universe) < len(named):
+        raise _unknown_vertices(g, h_prime)
     classes = equivalence_closure(pairs, universe, preferred=g_named)
 
     g_labels, h_labels = g_base._label_map, h_base._label_map

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -64,7 +64,8 @@ class _cached:
     ``object.__setattr__``, which costs 1.6 to 2.2 times as much, and
     these objects are built on every composition and application.  The
     dataclass ``__eq__``, ``__repr__``, ``__hash__``, frozen ``__setattr__``
-    and ``replace`` all still apply.
+    and ``replace`` all still apply.  Each default is stated once, in that
+    ``__init__``: the fields declare none.
     """
 
     def __init__(self, func):
@@ -100,8 +101,8 @@ class BaseGraph:
     ``Vertex`` and ``Edge``; ``build_graph`` builds them from plain values.
     """
 
-    vertices: tuple[Vertex, ...] = ()
-    edges: tuple[Edge, ...] = ()
+    vertices: tuple[Vertex, ...]
+    edges: tuple[Edge, ...]
 
     def __init__(self, vertices: tuple[Vertex, ...] = (), edges: tuple[Edge, ...] = ()) -> None:
         d = self.__dict__
@@ -145,8 +146,8 @@ class MsGraph:
     view of a private copy, so the verdicts computed once per graph hold.
     """
 
-    base: BaseGraph = _EMPTY_BASE
-    sources: Mapping[str, str] = field(default_factory=dict)
+    base: BaseGraph
+    sources: Mapping[str, str]
 
     def __init__(
         self, base: BaseGraph = _EMPTY_BASE, sources: Mapping[str, str] = _NO_LABELS
@@ -438,7 +439,9 @@ class EnumerationBounds:
 
     Node labels are optional per vertex (a vertex may stay unlabeled), each
     source label is optionally assigned to a vertex, and edges form a
-    multiset of at most ``max_edges`` labeled arcs.
+    multiset of at most ``max_edges`` labeled arcs.  A negative count, or a
+    label tuple that repeats a label or holds an empty one, raises
+    ValueError: either would break "every graph exactly once".
     """
 
     max_vertices: int = 3
@@ -448,6 +451,15 @@ class EnumerationBounds:
     max_edges: int = 2
     sgraphs_only: bool = False
     allow_loops: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("max_vertices", "max_edges"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("source_labels", "node_labels", "edge_labels"):
+            labels = getattr(self, name)
+            if "" in labels or len(set(labels)) != len(labels):
+                raise ValueError(f"{name} must be distinct non-empty labels, got {labels!r}")
 
 
 def count_graphs(bounds: EnumerationBounds) -> int:

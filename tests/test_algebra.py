@@ -24,10 +24,8 @@ from amalgam import (
     format_term,
     format_type,
     isomorphic,
-    type_rekey,
-    type_remove,
-    type_restrict,
 )
+from amalgam.algebra import type_rekey, type_remove
 
 NESTED = GraphType({"q": Slot()})
 
@@ -72,12 +70,10 @@ def test_slot_rename_must_be_injective():
         Slot(rename={"a": "x", "b": "x"})
 
 
-def test_type_remove_and_restrict():
+def test_type_remove():
     t = GraphType({"s": Slot(), "o": Slot(NESTED)})
     assert type_remove(t, ["s"]) == GraphType({"o": Slot(NESTED)})
-    assert type_restrict(t, ["s"]) == GraphType({"s": Slot()})
     assert type_remove(t, []) == t
-    assert type_restrict(t, []) == EMPTY_TYPE
 
 
 def test_type_rekey():
@@ -168,6 +164,23 @@ def test_condition_2b_extra_root_label_must_match_functor_slot(lexicon):
     out = apply("o", functor, lexicon["self"], RELAXED)
     assert isinstance(out, Undefined)
     assert out.condition == "condition 2b"
+
+
+def test_condition_2b_names_the_first_mismatch_in_the_argument_type_order():
+    # Both extra root labels mismatch; the argument's type lists "b" first.
+    functor = AsGraph(
+        build_graph(["r", "x"], [], {"rt": "r", "o": "x"}), GraphType({"o": Slot()})
+    )
+    argument = AsGraph(
+        build_graph(["r"], [], {"rt": "r", "a": "r", "b": "r"}),
+        GraphType({"b": Slot(), "a": Slot()}),
+    )
+    for mode in (RELAXED, RELAXED_STRICT):
+        assert apply("o", functor, argument, mode) == Undefined(
+            "condition 2b",
+            "the argument's extra root label 'b' must match the functor's own 'b' slot, "
+            "which differs or is absent",
+        )
 
 
 def test_condition_4_functor_extra_root_label(lexicon):

@@ -412,6 +412,32 @@ def test_negative_trials_are_refused(campaign):
         campaign(trials=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("max_vertices", -1, "max_vertices must be non-negative, got -1"),
+        ("max_edges", -1, "max_edges must be non-negative, got -1"),
+        ("source_labels", ("a", "a"), "source_labels must be distinct non-empty labels, "
+         "got ('a', 'a')"),
+        ("source_labels", ("",), "source_labels must be distinct non-empty labels, got ('',)"),
+        ("node_labels", ("x", "x"), "node_labels must be distinct non-empty labels, "
+         "got ('x', 'x')"),
+        ("edge_labels", ("e", ""), "edge_labels must be distinct non-empty labels, "
+         "got ('e', '')"),
+    ],
+    ids=["negative-max-vertices", "negative-max-edges", "repeated-source", "empty-source",
+         "repeated-node-label", "empty-edge-label"],
+)
+def test_bounds_that_break_every_graph_exactly_once_are_refused(field, value, message):
+    # A repeated label enumerates a graph twice, an empty one an invalid
+    # graph, and a negative count a space the closed form cannot count.
+    with pytest.raises(ValueError) as err:
+        EnumerationBounds(**{field: value})
+    assert str(err.value) == message
+    with pytest.raises(ValueError):
+        dataclasses.replace(SMALL, **{field: value})
+
+
 def test_enumeration_respects_its_budget():
     # 717,714 graphs, over the 500,000 budget: refused before the first graph.
     bounds = EnumerationBounds(max_vertices=7)

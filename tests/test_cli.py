@@ -19,7 +19,7 @@ from amalgam import (
     parse_graph,
     serialize_lexicon,
 )
-from amalgam import cli
+from amalgam import campaigns, cli
 from amalgam.cli import build_parser, main
 
 REFLEXIVE = "app_s(app_o(wash,self),raven)"
@@ -390,6 +390,12 @@ def test_campaign_trial_defaults():
     assert parser.parse_args(["check-reduction"]).trials == 10_000
     assert parser.parse_args(["check-properties"]).trials == 1_000
     assert parser.parse_args(["check-properties"]).seed == 0
+
+
+def test_campaign_population_defaults_are_the_campaigns_own():
+    for command in ("check-equivalence", "check-properties"):
+        args = build_parser().parse_args([command])
+        assert cli._bounds_from(args) == campaigns.DEFAULT_EQUIVALENCE_BOUNDS
 
 
 def _readme_commands() -> list[tuple[str, list[str]]]:

@@ -213,16 +213,39 @@ def test_composition_steps_agree_with_parallel_compose(spread, stacked):
 # the sparse core against the dense construction
 
 def _dense_compose(g: MsGraph, h_prime: MsGraph) -> MsGraph:
-    """Close over the whole disjoint union, then quotient it."""
-    pairs = merge_relation(g, h_prime)
+    """Close over the whole disjoint union, then quotient it.
+
+    The pairs and their closure are built here, by a naive fixpoint, so that
+    only ``quotient`` comes from the core under test.
+    """
+    pairs = [(v, h_prime.sources[a]) for a, v in g.sources.items() if a in h_prime.sources]
     union = BaseGraph(g.base.vertices + h_prime.base.vertices, g.base.edges + h_prime.base.edges)
     if not pairs:
         return MsGraph(union, {**g.sources, **h_prime.sources})
-    partition = equivalence_closure(pairs, union.vertex_ids(), preferred=g.base.vertex_ids())
+    order = union.vertex_ids()
+    joined = {v: {v} for v in order}  # each vertex's class so far
+    changed = True
+    while changed:
+        changed = False
+        for a, b in pairs:
+            if joined[a] is not joined[b]:
+                merged = joined[a] | joined[b]
+                for m in merged:
+                    joined[m] = merged
+                changed = True
+    # Classes in union order of their first member, members in union order;
+    # the representative is the smallest g member, else the smallest member.
+    g_ids = set(g.base.vertex_ids())
+    partition, placed = [], set()
+    for v in order:
+        if v not in placed:
+            members = tuple(m for m in order if m in joined[v])
+            placed.update(members)
+            partition.append((min([m for m in members if m in g_ids] or members), members))
     rep = {m: chosen for chosen, members in partition for m in members}
     sources = {a: rep[v] for a, v in g.sources.items()}
     sources.update((a, rep[v]) for a, v in h_prime.sources.items())
-    return MsGraph(quotient(union, partition), sources)
+    return MsGraph(quotient(union, tuple(partition)), sources)
 
 
 def _outcome(compose, g: MsGraph, h_prime: MsGraph):
@@ -285,6 +308,19 @@ def test_dangling_edge_endpoint_passes_through():
         Edge("p", "ghost", "e"),
         Edge("x", "ghost", "f"),
     )
+
+
+def test_compose_disjoint_names_a_missing_shared_vertex():
+    # A shared source that names no vertex is refused in the words
+    # parallel_compose uses, whichever operand holds it.
+    g = MsGraph(BaseGraph((Vertex("p"),), ()), {"a": "ghost", "rt": "p"})
+    h = build_graph(["x"], [], {"a": "x"})
+    for left, right in ((g, h), (h, g)):
+        with pytest.raises(UnknownVertexError) as want:
+            parallel_compose(left, right)
+        with pytest.raises(UnknownVertexError) as got:
+            compose_disjoint(left, right)
+        assert str(got.value) == str(want.value) == "source 'a' names missing vertex 'ghost'"
 
 
 def test_parallel_compose_names_a_missing_vertex():

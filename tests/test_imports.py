@@ -1,0 +1,40 @@
+"""Every name a module of the package imports is used in that module.
+
+The modules are read with ``ast``, not imported.  ``__init__.py`` is left
+out: it imports names only to export them.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "amalgam"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_and_used(path: Path) -> tuple[dict[str, int], set[str]]:
+    """Each name the module's imports bind, with its line; each name it reads."""
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return imported, used
+
+
+def test_the_package_has_modules_to_check():
+    assert {p.name for p in MODULES} >= {"algebra.py", "cli.py", "compose.py", "graphs.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_imported_name_is_used(path):
+    imported, used = _imported_and_used(path)
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert unused == {}

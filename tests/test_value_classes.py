@@ -9,6 +9,7 @@ edits that return their input when nothing changes.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import inspect
 import pickle
@@ -28,10 +29,8 @@ from amalgam import (
     Undefined,
     Vertex,
     build_graph,
-    type_rekey,
-    type_remove,
-    type_restrict,
 )
+from amalgam.algebra import type_rekey, type_remove
 
 NESTED = GraphType({"q": Slot()})
 GRAPH = build_graph([("r", "n"), "x"], [("r", "x", "e")], {"rt": "r", "s": "x"})
@@ -93,12 +92,14 @@ def test_repr():
         "MsGraph(base=BaseGraph(vertices=(), edges=()), sources=mappingproxy({}))"
     )
     assert repr(Slot(NESTED, {"a": "b"})) == (
-        "Slot(requested=GraphType(entries={'q': Slot(requested=GraphType(entries={}), "
-        "rename={})}), rename={'a': 'b'})"
+        "Slot(requested=GraphType(entries=mappingproxy({'q': Slot(requested=GraphType("
+        "entries=mappingproxy({})), rename=mappingproxy({}))})), "
+        "rename=mappingproxy({'a': 'b'}))"
     )
     assert repr(AsGraph(build_graph(["r"], [], {"rt": "r"}))) == (
         "AsGraph(graph=MsGraph(base=BaseGraph(vertices=(Vertex(id='r', label=None),), "
-        "edges=()), sources=mappingproxy({'rt': 'r'})), type=GraphType(entries={}))"
+        "edges=()), sources=mappingproxy({'rt': 'r'})), "
+        "type=GraphType(entries=mappingproxy({})))"
     )
     assert repr(Undefined("condition 1", "no slot")) == (
         "Undefined(condition='condition 1', detail='no slot', strict_clause=False, "
@@ -144,6 +145,25 @@ def test_mappings_are_private_copies():
     assert g.sources == {"rt": "r"}
     assert t.entries == {"s": Slot()}
     assert s.rename == {"a": "b"}
+
+
+def test_type_mappings_are_read_only():
+    # A writable mapping would let a type gain a root entry, a rename stop
+    # being injective, or an enclosing Slot's measured depth go stale.
+    t, s = GraphType({"s": Slot()}), Slot(EMPTY_TYPE, {"a": "x"})
+    outer = Slot(t)
+    with pytest.raises(TypeError):
+        t.entries["rt"] = Slot()
+    with pytest.raises(TypeError):
+        t.entries["o"] = Slot(NESTED)
+    with pytest.raises(TypeError):
+        s.rename["b"] = "x"
+    assert t.entries == {"s": Slot()}
+    assert s.rename == {"a": "x"}
+    assert outer._depth == 2
+    for value in (t, s, outer):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +229,12 @@ def test_type_edits_that_change_nothing_return_their_input():
     t = GraphType({"s": Slot(), "o": Slot(NESTED)})
     for labels in ([], ["zz"], {"q"}):
         assert type_remove(t, labels) is t
-        assert type_restrict(t, labels) is EMPTY_TYPE
     for rename in ({}, {"zz": "q"}, {"q": "s"}):
         assert type_rekey(t, rename) is t
     assert type_remove(EMPTY_TYPE, ["s"]) is EMPTY_TYPE
     assert type_rekey(EMPTY_TYPE, {"s": "o"}) is EMPTY_TYPE
     # Edits that do change something build an equal value as before.
     assert type_remove(t, ["s", "zz"]) == GraphType({"o": Slot(NESTED)})
-    assert type_restrict(t, ["s", "zz"]) == GraphType({"s": Slot()})
     assert type_rekey(t, {"s": "s"}) == t
     with pytest.raises(RenameCollisionError):
         type_rekey(t, {"s": "o"})
