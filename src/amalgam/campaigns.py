@@ -162,7 +162,8 @@ def _witness_holds(left: MsGraph, right: MsGraph) -> bool:
     """
     if left == right:
         return True
-    witness = {v: v for v in left.base._ids}
+    ids = left.base._ids
+    witness = dict(zip(ids, ids))
     for a, v in left.sources.items():
         witness[v] = right.sources.get(a)
     return _is_isomorphism(left, right, witness)

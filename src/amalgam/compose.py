@@ -16,7 +16,9 @@ the sparse core is tested against.
 ``parallel_compose`` and ``parallel_compose_classic`` refuse an operand with
 an edge endpoint or a source that names no vertex: UnknownVertexError.
 ``compose_disjoint`` refuses only a shared source that names no vertex of
-either operand, and passes other dangling endpoints and sources through.
+its own operand: each merge pair's end from ``g`` must be a vertex of ``g``,
+and its end from ``h_prime`` a vertex of ``h_prime``.  It passes other
+dangling endpoints and sources through.
 
 ``parallel_compose_classic`` keeps the older construction that simply glues
 the second graph's source vertices onto the first's.  It is only defined
@@ -87,11 +89,11 @@ def merge_relation(g: MsGraph, h_prime: MsGraph) -> tuple[tuple[str, str], ...]:
     Inputs must be vertex-disjoint.  One pair per shared label, in sorted
     label order.
     """
-    if not g.base._id_set.isdisjoint(h_prime.base._id_set):
-        overlap = g.base._id_set & h_prime.base._id_set
-        raise VertexOverlapError(f"inputs share vertex ids: {sorted(overlap)}")
-    shared = sorted(g.tau & h_prime.tau)
-    return tuple((g.sources[a], h_prime.sources[a]) for a in shared)
+    g_ids, h_ids = g.base._id_set, h_prime.base._id_set
+    if not g_ids.isdisjoint(h_ids):
+        raise VertexOverlapError(f"inputs share vertex ids: {sorted(g_ids & h_ids)}")
+    g_sources, h_sources = g.sources, h_prime.sources
+    return tuple([(g_sources[a], h_sources[a]) for a in sorted(g.tau & h_prime.tau)])
 
 
 def equivalence_closure(
@@ -104,10 +106,11 @@ def equivalence_closure(
     Returns one ``(representative, members)`` pair per class.  Classes come
     in the universe order of their first member, and members in universe
     order.  The representative is the smallest id from ``preferred`` in the
-    class, else the smallest id in the class.
+    class, else the smallest id in the class.  A set or dict ``preferred``
+    is read in place, not copied.
     """
     order = tuple(universe)
-    parent = {v: v for v in order}
+    parent = dict(zip(order, order))
     for a, b in pairs:
         if a not in parent or b not in parent:
             raise VertexOverlapError(f"pair ({a!r}, {b!r}) mentions ids outside the universe")
@@ -124,13 +127,15 @@ def equivalence_closure(
             root = parent[root]
         groups.setdefault(root, []).append(v)
 
-    prefer = set(preferred)
-    return tuple(
-        [
-            (min([m for m in members if m in prefer] or members), tuple(members))
-            for members in groups.values()
-        ]
-    )
+    prefer = preferred if isinstance(preferred, (set, frozenset, dict)) else set(preferred)
+    classes = []
+    for members in groups.values():
+        chosen = None
+        for m in members:
+            if m in prefer and (chosen is None or m < chosen):
+                chosen = m
+        classes.append((min(members) if chosen is None else chosen, tuple(members)))
+    return tuple(classes)
 
 
 def quotient(base: BaseGraph, partition: tuple[tuple[str, tuple[str, ...]], ...]) -> BaseGraph:
@@ -182,7 +187,9 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
     g-then-h_prime order, so its classes, representatives and conflicts are
     those of the dense closure over the whole union.  The result is then
     built in one pass over both operands; ``quotient`` over the union gives
-    the same value.  A shared source that names no vertex of either operand
+    the same value.  A shared source that names no vertex of its own operand
+    (the g end of each merge pair is looked up in ``g``, the h_prime end in
+    ``h_prime``, so naming a vertex of the other operand does not count)
     raises UnknownVertexError, which lists each edge endpoint and source of
     either operand that names no vertex, as ``validate`` words them.  An edge
     endpoint, or an unshared source, that names no vertex otherwise passes
@@ -197,14 +204,19 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
             g.sources | h_prime.sources,
         )
 
-    named = {v for pair in pairs for v in pair}
-    g_named = tuple([v for v in g_base._ids if v in named])
-    universe = g_named + tuple([v for v in h_base._ids if v in named])
-    if len(universe) < len(named):
-        raise _unknown_vertices(g, h_prime)
+    g_labels, h_labels = g_base._label_map, h_base._label_map
+    g_named: set[str] = set()
+    h_named: set[str] = set()
+    for x, y in pairs:
+        if x not in g_labels or y not in h_labels:
+            raise _unknown_vertices(g, h_prime)
+        g_named.add(x)
+        h_named.add(y)
+    # The universe in vertex order, g's named vertices first.
+    universe = [v for v in g_labels if v in g_named] if len(g_named) > 1 else list(g_named)
+    universe += [v for v in h_labels if v in h_named] if len(h_named) > 1 else h_named
     classes = equivalence_closure(pairs, universe, preferred=g_named)
 
-    g_labels, h_labels = g_base._label_map, h_base._label_map
     moved: dict[str, str] = {}  # merged vertex -> its representative, if another
     fused: dict[str, str] = {}  # representative -> the label it gains, if any
     for chosen, members in classes:
@@ -224,18 +236,29 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
         if label is not None and g_labels[chosen] is None:
             fused[chosen] = label
 
-    vertices = [
-        Vertex(v.id, fused[v.id]) if v.id in fused else v
-        for v in g_base.vertices
-        if v.id not in moved
-    ]
-    vertices += [v for v in h_base.vertices if v.id not in moved]
-    edges = [
-        Edge(moved.get(e.src, e.src), moved.get(e.dst, e.dst), e.label)
-        if e.src in moved or e.dst in moved
-        else e
-        for e in g_base.edges + h_base.edges
-    ]
+    # Each class's representative is a g member, so every named h_prime
+    # vertex moves; g's vertices stay as they are unless one of them moved
+    # too or gained a label.
+    g_vertices = g_base.vertices
+    if fused or len(moved) > len(h_named):
+        g_vertices = tuple(
+            [
+                Vertex(v.id, fused[v.id]) if v.id in fused else v
+                for v in g_vertices
+                if v.id not in moved
+            ]
+        )
+    vertices = g_vertices + tuple([v for v in h_base.vertices if v.id not in moved])
+    edges = g_base.edges + h_base.edges
+    if edges:
+        edges = tuple(
+            [
+                Edge(moved.get(e.src, e.src), moved.get(e.dst, e.dst), e.label)
+                if e.src in moved or e.dst in moved
+                else e
+                for e in edges
+            ]
+        )
 
     sources: dict[str, str] = {a: moved.get(v, v) for a, v in g.sources.items()}
     for a, v in h_prime.sources.items():
@@ -246,7 +269,7 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
             # closure puts them in one class.  Checked, not assumed.
             raise RuntimeError(f"source {a!r} resolves to two classes after merging")
         sources[a] = r
-    return MsGraph(BaseGraph(tuple(vertices), tuple(edges)), sources)
+    return MsGraph(BaseGraph(vertices, edges), sources)
 
 
 def parallel_compose(g: MsGraph, h: MsGraph) -> MsGraph:
@@ -283,11 +306,13 @@ def parallel_compose_classic(g: MsGraph, h: MsGraph) -> MsGraph:
     glue = {h.sources[a]: g.sources[a] for a in shared}
     g_labels = g.base._label_map
     vmap = fresh_ids([v.id for v in h.base.vertices if v.id not in glue], g_labels)
-    vmap.update(glue)
 
     fused: dict[str, str] = {}  # glued g vertex -> the label it gains
+    h_vertices = []  # the copies of h's unglued vertices
     for v in h.base.vertices:
-        if v.id in glue and v.label is not None:
+        if v.id not in glue:
+            h_vertices.append(Vertex(vmap[v.id], v.label))
+        elif v.label is not None:
             target = glue[v.id]
             current = fused.get(target, g_labels[target])
             if current is None:
@@ -297,7 +322,10 @@ def parallel_compose_classic(g: MsGraph, h: MsGraph) -> MsGraph:
                     f"glued vertex {target!r} would carry both "
                     f"{current!r} and {v.label!r}"
                 )
-    h_edges = tuple([Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges])
+    vmap.update(glue)
+    edges = g.base.edges
+    if h.base.edges:
+        edges += tuple([Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges])
     sources = g.sources.copy()
     for a, v in h.sources.items():
         sources.setdefault(a, vmap[v])
@@ -307,7 +335,4 @@ def parallel_compose_classic(g: MsGraph, h: MsGraph) -> MsGraph:
         g_vertices = tuple(
             [Vertex(v.id, fused[v.id]) if v.id in fused else v for v in g_vertices]
         )
-    vertices = g_vertices + tuple(
-        [Vertex(vmap[v.id], v.label) for v in h.base.vertices if v.id not in glue]
-    )
-    return MsGraph(BaseGraph(vertices, g.base.edges + h_edges), sources)
+    return MsGraph(BaseGraph(g_vertices + tuple(h_vertices), edges), sources)

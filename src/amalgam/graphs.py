@@ -115,7 +115,7 @@ class BaseGraph:
 
     @_cached
     def _ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vertices)
+        return tuple([v.id for v in self.vertices])
 
     @_cached
     def _id_set(self) -> frozenset[str]:
@@ -333,29 +333,43 @@ def _signatures(g: MsGraph) -> dict[str, tuple]:
 def _is_isomorphism(g: MsGraph, h: MsGraph, mapping: Mapping[str, str]) -> bool:
     """True when ``mapping`` carries g onto h exactly, in O(n + m).
 
-    Any mapping may be passed; keys that are not g vertices are ignored.  It
-    must send every g vertex to a distinct h vertex with the same node label,
-    send every source of g to h's source of the same label (the label sets
-    must be equal), and carry g's edge multiset onto h's.
+    Any mapping may be passed; keys that are not g vertices are ignored,
+    except that an edge endpoint naming no g vertex maps through them too
+    (to None when absent).  It must send every g vertex to a distinct h
+    vertex with the same node label, send every source of g to h's source of
+    the same label (the label sets must be equal), and carry g's edge
+    multiset onto h's.
     """
     g_base, h_base = g.base, h.base
     if len(g_base.vertices) != len(h_base.vertices) or len(g_base.edges) != len(h_base.edges):
         return False
     if g.tau != h.tau:
         return False
+    get = mapping.get
     h_labels = h_base._label_map
     images: set[str] = set()
     for v in g_base.vertices:
-        y = mapping.get(v.id)
+        y = get(v.id)
         if y not in h_labels or y in images or h_labels[y] != v.label:
             return False
         images.add(y)
     h_sources = h.sources
     for label, x in g.sources.items():
-        if mapping.get(x) != h_sources[label]:
+        if get(x) != h_sources[label]:
             return False
-    g_edges = Counter((mapping.get(e.src), mapping.get(e.dst), e.label) for e in g_base.edges)
-    return g_edges == Counter(h_base.edges)
+    # The edge counts are equal, so g's mapped edges use up h's multiset
+    # exactly when each finds an unused copy.  An Edge hashes and compares
+    # as its plain tuple.
+    unused: dict[tuple, int] = {}
+    for e in h_base.edges:
+        unused[e] = unused.get(e, 0) + 1
+    for src, dst, label in g_base.edges:
+        key = (get(src), get(dst), label)
+        count = unused.get(key)
+        if not count:
+            return False
+        unused[key] = count - 1
+    return True
 
 
 def find_isomorphism(g: MsGraph, h: MsGraph) -> dict[str, str] | None:
@@ -383,7 +397,9 @@ def find_isomorphism(g: MsGraph, h: MsGraph) -> dict[str, str] | None:
         return None
 
     sig_g, sig_h = _signatures(g), _signatures(h)
-    if Counter(sig_g.values()) != Counter(sig_h.values()):
+    # All counts are positive, so plain dict equality is multiset equality
+    # (``Counter.__eq__`` runs a Python-level loop).
+    if not dict.__eq__(Counter(sig_g.values()), Counter(sig_h.values())):
         return None
 
     buckets: dict[tuple, list[str]] = {}

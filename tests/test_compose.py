@@ -323,6 +323,19 @@ def test_compose_disjoint_names_a_missing_shared_vertex():
         assert str(got.value) == str(want.value) == "source 'a' names missing vertex 'ghost'"
 
 
+def test_compose_disjoint_checks_each_shared_source_in_its_own_operand():
+    # g's source 'a' names 'x', a vertex of h but not of g: it is missing all
+    # the same, in either operand order.
+    g = MsGraph(BaseGraph((Vertex("p"),), ()), {"a": "x", "rt": "p"})
+    h = build_graph(["x"], [], {"a": "x"})
+    for left, right in ((g, h), (h, g)):
+        with pytest.raises(UnknownVertexError) as want:
+            parallel_compose(left, right)
+        with pytest.raises(UnknownVertexError) as got:
+            compose_disjoint(left, right)
+        assert str(got.value) == str(want.value) == "source 'a' names missing vertex 'x'"
+
+
 def test_parallel_compose_names_a_missing_vertex():
     # Whichever operand has an edge endpoint or a source that names no
     # vertex, composing raises with the details validate gives.

@@ -9,6 +9,7 @@ import pytest
 from amalgam import (
     BaseGraph,
     CapacityError,
+    Edge,
     EnumerationBounds,
     MsGraph,
     Vertex,
@@ -201,6 +202,8 @@ def carries_onto(g: MsGraph, h: MsGraph, bijection: dict[str, str]) -> bool:
             max_vertices=2, source_labels=("a",), node_labels=("n",), max_edges=1,
             allow_loops=True,
         ),
+        # parallel edges, so an edge multiset can repeat an edge
+        EnumerationBounds(max_vertices=2, source_labels=("a",), max_edges=2),
     ],
 )
 def test_verifier_agrees_with_the_definition_on_every_bijection(bounds):
@@ -239,3 +242,33 @@ def test_verifier_rejects_maps_that_are_not_bijections():
     assert not _is_isomorphism(
         build_graph(["p"], [], {"A": "p"}), build_graph(["x"], [], {"B": "x"}), {"p": "x"}
     )
+
+
+def test_verifier_counts_edges_as_a_multiset():
+    # Same edge set, different multiplicities.
+    g = build_graph(["p", "q"], [("p", "q", "e"), ("p", "q", "e"), ("q", "p", "e")])
+    h = build_graph(["x", "y"], [("x", "y", "e"), ("y", "x", "e"), ("y", "x", "e")])
+    assert not _is_isomorphism(g, h, {"p": "x", "q": "y"})
+    assert _is_isomorphism(g, h, {"p": "y", "q": "x"})
+    # Two parallel edges of g map onto one edge of h.
+    g = build_graph(["p", "q"], [("p", "q", "e"), ("p", "q", "e")])
+    h = build_graph(["x", "y"], [("x", "y", "e"), ("y", "x", "e")])
+    assert not _is_isomorphism(g, h, {"p": "x", "q": "y"})
+    assert not _is_isomorphism(h, g, {"x": "p", "y": "q"})
+
+
+def test_verifier_on_dangling_edges():
+    # An endpoint that is no vertex maps through the mapping like any id;
+    # left unmapped, it matches no edge of h.
+    dangling = MsGraph(BaseGraph((Vertex("p"),), (Edge("p", "ghost", "e"),)), {})
+    also_dangling = MsGraph(BaseGraph((Vertex("x"),), (Edge("x", "ghost", "e"),)), {})
+    loop = build_graph(["x"], [("x", "x", "e")])
+    assert not _is_isomorphism(dangling, loop, {"p": "x"})
+    assert not _is_isomorphism(loop, dangling, {"x": "p"})
+    assert not _is_isomorphism(dangling, also_dangling, {"p": "x"})
+    assert _is_isomorphism(dangling, also_dangling, {"p": "x", "ghost": "ghost"})
+    # Unmapped on g's side, the endpoint becomes None, which an edge of h
+    # can hold only when it was built with None.
+    held = MsGraph(BaseGraph((Vertex("x"),), (Edge("x", None, "e"),)), {})
+    assert _is_isomorphism(dangling, held, {"p": "x"})
+    assert not _is_isomorphism(dangling, held, {"p": "x", "ghost": "x"})
