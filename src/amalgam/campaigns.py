@@ -4,8 +4,8 @@ Three campaigns back the core claims with executable evidence:
 
 * composition equivalence: over every pair of enumerated single-label
   graphs, the merge-based composition agrees with the classic glue-based
-  one up to isomorphism, unions the label sets, and keeps the left
-  operand's sources in place;
+  one up to isomorphism, unions the label sets, keeps the left operand's
+  sources in place, and keeps every left vertex;
 * apply reduction: on as-graphs whose roots carry no extra labels, the
   original and relaxed apply variants agree;
 * algebraic properties: identity and commutativity of composition

@@ -22,6 +22,7 @@ from amalgam import (
     isomorphic,
     parallel_compose,
     parallel_compose_classic,
+    validate,
 )
 from amalgam.compose import equivalence_closure, fresh_ids, merge_relation, quotient
 
@@ -128,6 +129,13 @@ def test_quotient_universe_must_match():
     base = BaseGraph((Vertex("a"),), ())
     with pytest.raises(VertexOverlapError):
         quotient(base, equivalence_closure([], "ab"))
+
+
+def test_quotient_names_a_missing_vertex():
+    base = BaseGraph((Vertex("a"),), (Edge("a", "ghost", "e"),))
+    with pytest.raises(UnknownVertexError) as err:
+        quotient(base, equivalence_closure([], "a"))
+    assert str(err.value) == "edge 'a'->'ghost' uses missing vertex 'ghost'"
 
 
 # --------------------------------------------------------------------------
@@ -294,20 +302,21 @@ def test_sparse_core_matches_dense_oracle(g, h):
     assert _outcome(compose_disjoint, g, h_prime) == _outcome(_dense_compose, g, h_prime)
 
 
-def test_dangling_edge_endpoint_passes_through():
-    # Only merged vertices are remapped, so an edge to a vertex that does not
-    # exist passes through, with or without a shared label.
+def test_compose_disjoint_refuses_a_dangling_edge_endpoint():
+    # An edge to a vertex that does not exist is refused, with or without a
+    # shared label, in the words parallel_compose uses for both operands.
     g = build_graph(["p"], [("p", "ghost", "e")], {"A": "p"})
     shared = build_graph(["x"], [("x", "ghost", "f")], {"A": "x"})
     apart = build_graph(["x"], [("x", "ghost", "f")], {"B": "x"})
-    assert compose_disjoint(g, shared).base.edges == (
-        Edge("p", "ghost", "e"),
-        Edge("p", "ghost", "f"),
-    )
-    assert compose_disjoint(g, apart).base.edges == (
-        Edge("p", "ghost", "e"),
-        Edge("x", "ghost", "f"),
-    )
+    for right in (shared, apart):
+        with pytest.raises(UnknownVertexError) as want:
+            parallel_compose(g, right)
+        with pytest.raises(UnknownVertexError) as got:
+            compose_disjoint(g, right)
+        assert str(got.value) == str(want.value) == (
+            "edge 'p'->'ghost' uses missing vertex 'ghost'; "
+            "edge 'x'->'ghost' uses missing vertex 'ghost'"
+        )
 
 
 def test_compose_disjoint_names_a_missing_shared_vertex():
@@ -355,6 +364,79 @@ def test_parallel_compose_names_a_missing_vertex():
     for left, right in ((shared, labelled), (labelled, shared)):
         with pytest.raises(UnknownVertexError, match="source 'A' names missing vertex 'nowhere'"):
             parallel_compose(left, right)
+
+
+# Operands for the operand rule, all s-graphs so that the glue-based
+# composition reaches its check too.  Some share the id "p".
+_CLEAN_OPERANDS = (
+    build_graph(["p"], [], {"A": "p"}),
+    build_graph([("x", "L"), "y"], [("x", "y", "e")], {"A": "x", "B": "y"}),
+)
+_DANGLING_OPERANDS = (
+    build_graph(["p"], [("p", "ghost", "e")], {"A": "p"}),
+    build_graph(["q"], [("ghost", "q", "f")], {"C": "q"}),
+    build_graph(["u"], [], {"A": "nowhere", "rt": "u"}),
+    build_graph(["w"], [], {"C": "nowhere"}),
+    MsGraph(BaseGraph((Vertex("p"),), ()), {"A": "x", "rt": "p"}),
+)
+
+
+def _missing(g: MsGraph) -> list[str]:
+    return [v.detail for v in validate(g) if v.invariant.startswith("dangling")]
+
+
+def test_every_composition_refuses_a_dangling_operand():
+    # Whichever operand dangles, and whatever the other shares with it, every
+    # entry point raises UnknownVertexError listing the left operand's faults
+    # and then the right's; given the same operands, the same message.
+    # disjoint_copy checks only the graph it copies.
+    operands = _CLEAN_OPERANDS + _DANGLING_OPERANDS
+    pairs = 0
+    for left in operands:
+        for right in operands:
+            expected = "; ".join(_missing(left) + _missing(right))
+            if not expected:
+                continue
+            pairs += 1
+            for compose in (parallel_compose, parallel_compose_classic, compose_disjoint):
+                with pytest.raises(UnknownVertexError) as err:
+                    compose(left, right)
+                assert str(err.value) == expected, (compose.__name__, left, right)
+            if _missing(right):
+                with pytest.raises(UnknownVertexError) as err:
+                    disjoint_copy(right, left)
+                assert str(err.value) == "; ".join(_missing(right))
+    assert pairs == len(operands) ** 2 - len(_CLEAN_OPERANDS) ** 2
+
+
+@st.composite
+def rough_graphs(draw):
+    """Small graphs whose ids may repeat and whose edges and sources may dangle."""
+    ids = draw(st.lists(st.sampled_from(("p", "q", "x")), max_size=4))
+    ends = st.sampled_from(ids + ["ghost"])
+    vertices = tuple(Vertex(v, draw(st.sampled_from((None, "L", "M")))) for v in ids)
+    edges = draw(st.lists(st.builds(Edge, ends, ends, st.sampled_from(("e", "f"))), max_size=3))
+    sources = draw(st.dictionaries(st.sampled_from(("a", "b", "rt")), ends, max_size=3))
+    return MsGraph(BaseGraph(vertices, tuple(edges)), sources)
+
+
+@settings(deadline=None, max_examples=300)
+@given(rough_graphs(), rough_graphs())
+def test_rough_operands_give_a_result_or_a_graph_error(g, h):
+    calls = (
+        lambda: parallel_compose(g, h),
+        lambda: parallel_compose_classic(g, h),
+        lambda: compose_disjoint(g, h),
+        lambda: compose_disjoint(g, disjoint_copy(h, g)),
+        lambda: disjoint_copy(h, g),
+        lambda: isomorphic(g, h),
+        lambda: quotient(g.base, equivalence_closure([], g.base.vertex_ids())),
+    )
+    for call in calls:
+        try:
+            call()
+        except GraphError:
+            pass
 
 
 # --------------------------------------------------------------------------

@@ -272,3 +272,15 @@ def test_verifier_on_dangling_edges():
     held = MsGraph(BaseGraph((Vertex("x"),), (Edge("x", None, "e"),)), {})
     assert _is_isomorphism(dangling, held, {"p": "x"})
     assert not _is_isomorphism(dangling, held, {"p": "x", "ghost": "x"})
+
+
+def test_repeated_ids_are_isomorphic_only_to_an_equal_graph():
+    # A repeated id would let the search map one id twice; like a dangling
+    # graph, such a graph is isomorphic only to itself.
+    g = MsGraph(BaseGraph((Vertex("r"), Vertex("p"), Vertex("p")), ()))
+    h = MsGraph(BaseGraph((Vertex("q"), Vertex("s"), Vertex("s")), ()))
+    plain = build_graph(["q", "s", "t"])
+    for left, right in ((g, h), (h, g), (g, plain), (plain, g)):
+        assert find_isomorphism(left, right) is None
+        assert not isomorphic(left, right)
+    assert find_isomorphism(g, g) == {"r": "r", "p": "p"}
