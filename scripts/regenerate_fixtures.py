@@ -12,6 +12,9 @@ import argparse
 import sys
 from pathlib import Path
 
+# Read the package from this checkout's src/, so a fresh clone runs as is.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from amalgam.algebra import (
     EMPTY_TYPE,
     RELAXED,

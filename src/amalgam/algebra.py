@@ -64,7 +64,8 @@ EMPTY_TYPE = GraphType()
 class Slot:
     """What one open source expects: an argument type and a rename map.
 
-    ``rename`` is a read-only view of a private copy, so it stays injective.
+    ``rename`` is a read-only view of a private copy, so it stays injective
+    and never names the root label or the empty label.
     """
 
     requested: GraphType
@@ -76,6 +77,8 @@ class Slot:
         rename = dict(rename)
         if len(set(rename.values())) != len(rename):
             raise ValueError("slot rename map must be injective")
+        if rename and not {ROOT_LABEL, ""}.isdisjoint(rename.keys() | rename.values()):
+            raise ValueError(f"slot rename map cannot name {ROOT_LABEL!r} or the empty label")
         # Slot levels from here down, read off the measured slots below: no recursion.
         depth = 1
         for s in requested.entries.values():

@@ -125,7 +125,7 @@ def _population(bounds: EnumerationBounds) -> tuple[list[MsGraph], list[MsGraph]
             f"{count} graphs make {pairs} ordered pairs, over the budget of {PAIR_BUDGET}"
         )
     graphs = list(enumerate_graphs(bounds))
-    all_ids = {v for g in graphs for v in g.base._ids}
+    all_ids = {v for g in graphs for v in g.base._label_map}
     return graphs, [disjoint_copy(h, all_ids) for h in graphs]
 
 
@@ -162,7 +162,7 @@ def _witness_holds(left: MsGraph, right: MsGraph) -> bool:
     """
     if left == right:
         return True
-    ids = left.base._ids
+    ids = left.base._label_map
     witness = dict(zip(ids, ids))
     for a, v in left.sources.items():
         witness[v] = right.sources.get(a)
@@ -207,7 +207,7 @@ def check_composition_equivalence(bounds: EnumerationBounds | None = None) -> Ca
     for g in graphs:
         g_sources = g.sources
         g_tau = g.tau
-        g_ids = set(g.base.vertex_ids())
+        g_ids = g.base._id_set
         for h, h_prime in zip(graphs, copies):
             merged, glued = _compose(g, h_prime), _glue(g, h)
             if not _agree(merged, glued):
@@ -389,7 +389,7 @@ def check_algebraic_properties(
     bounds = bounds or DEFAULT_EQUIVALENCE_BOUNDS
     graphs, copies = _population(bounds)
     empty = MsGraph()
-    taken = {v for c in graphs + copies for v in c.base._ids}
+    taken = {v for c in graphs + copies for v in c.base._label_map}
     seconds = [disjoint_copy(h, taken) for h in graphs]
     rng = random.Random(seed)
     n = len(graphs)

@@ -13,10 +13,10 @@ reusing every vertex and edge the merge leaves alone.  ``quotient`` keeps
 the dense construction over the whole disjoint union; it is the reference
 the sparse core is tested against.
 
-One operand rule holds for every composition: an operand with an edge
-endpoint or a source that names no vertex of its own raises
-UnknownVertexError, which lists each such endpoint and source of every
-operand as ``validate`` words them.
+One operand rule holds for every composition: an operand with a repeated
+vertex id, or with an edge endpoint or a source that names no vertex of its
+own, raises UnknownVertexError, which lists each such id of every operand
+as ``validate`` words them.
 
 ``parallel_compose_classic`` keeps the older construction that simply glues
 the second graph's source vertices onto the first's.  It is only defined
@@ -58,10 +58,10 @@ def fresh_ids(ids: Iterable[str], avoid: Container[str]) -> dict[str, str]:
     return out
 
 
-def _refuse_dangling(g: MsGraph, h: MsGraph = MsGraph()) -> None:
-    """Enforce the operand rule: raise if either graph names a missing vertex."""
-    if g._dangling or h._dangling:
-        raise UnknownVertexError("; ".join(g._dangling + h._dangling))
+def _refuse_unresolved(g: MsGraph, h: MsGraph = MsGraph()) -> None:
+    """Enforce the operand rule: raise if an id of either graph names no vertex or two."""
+    if g._unresolved or h._unresolved:
+        raise UnknownVertexError("; ".join(g._unresolved + h._unresolved))
 
 
 def disjoint_copy(h: MsGraph, avoid: MsGraph | Container[str]) -> MsGraph:
@@ -70,9 +70,9 @@ def disjoint_copy(h: MsGraph, avoid: MsGraph | Container[str]) -> MsGraph:
     ``avoid`` is a graph or a bare collection of ids to steer clear of.
     The copy's vertices come in ``h``'s order, each renamed by ``fresh_ids``.
     """
-    _refuse_dangling(h)
+    _refuse_unresolved(h)
     avoid_ids = avoid.base._id_set if isinstance(avoid, MsGraph) else avoid
-    vmap = fresh_ids(h.base.vertex_ids(), avoid_ids)
+    vmap = fresh_ids(h.base._label_map, avoid_ids)
     vertices = tuple(Vertex(vmap[v.id], v.label) for v in h.base.vertices)
     edges = tuple(Edge(vmap[e.src], vmap[e.dst], e.label) for e in h.base.edges)
     sources = {a: vmap[v] for a, v in h.sources.items()}
@@ -150,7 +150,7 @@ def quotient(base: BaseGraph, partition: tuple[tuple[str, tuple[str, ...]], ...]
     size = sum(len(members) for _, members in partition)
     if size != len(base.vertices) or base._id_set != rep.keys():
         raise VertexOverlapError("partition universe does not match the graph's vertices")
-    _refuse_dangling(MsGraph(base))
+    _refuse_unresolved(MsGraph(base))
 
     lmap = base._label_map
     fused_label: dict[str, str | None] = {}
@@ -187,7 +187,7 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
     built in one pass over both operands; ``quotient`` over the union gives
     the same value.  The operand rule is checked before disjointness.
     """
-    _refuse_dangling(g, h_prime)
+    _refuse_unresolved(g, h_prime)
     pairs = merge_relation(g, h_prime)
     g_base, h_base = g.base, h_prime.base
     if not pairs:
@@ -270,7 +270,7 @@ def parallel_compose(g: MsGraph, h: MsGraph) -> MsGraph:
     label drags its two vertices (and transitively everything they are merged
     with) into a single vertex.
     """
-    _refuse_dangling(g, h)
+    _refuse_unresolved(g, h)
     return compose_disjoint(g, disjoint_copy(h, g))
 
 
@@ -286,7 +286,7 @@ def parallel_compose_classic(g: MsGraph, h: MsGraph) -> MsGraph:
         raise SGraphRequiredError("left operand has a vertex with multiple source labels")
     if not h.is_sgraph():
         raise SGraphRequiredError("right operand has a vertex with multiple source labels")
-    _refuse_dangling(g, h)
+    _refuse_unresolved(g, h)
 
     shared = g.tau & h.tau
     glue = {h.sources[a]: g.sources[a] for a in shared}

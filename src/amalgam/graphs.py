@@ -34,7 +34,7 @@ class GraphError(Exception):
 
 
 class UnknownVertexError(GraphError):
-    pass
+    """An id names no vertex of its graph, or more than one."""
 
 
 class MissingSourceError(GraphError):
@@ -110,19 +110,15 @@ class BaseGraph:
         d["edges"] = edges
 
     @_cached
-    def _label_map(self) -> dict[str, str | None]:
+    def _label_map(self) -> dict[str, str | None]:  # the one id index, in vertex order
         return {v.id: v.label for v in self.vertices}
 
     @_cached
-    def _ids(self) -> tuple[str, ...]:
-        return tuple([v.id for v in self.vertices])
-
-    @_cached
     def _id_set(self) -> frozenset[str]:
-        return frozenset(self._ids)
+        return frozenset(self._label_map)
 
     def vertex_ids(self) -> tuple[str, ...]:
-        return self._ids
+        return tuple(self._label_map)
 
     def has_vertex(self, vertex_id: str) -> bool:
         return vertex_id in self._label_map
@@ -166,19 +162,20 @@ class MsGraph:
         return frozenset(self.sources)
 
     @_cached
-    def _dangling(self) -> tuple[str, ...]:
-        """``validate``'s details for each edge endpoint and source naming no vertex.
+    def _unresolved(self) -> tuple[str, ...]:
+        """``validate``'s details for each id that names no vertex or more than one.
 
-        Empty when every edge and source names a vertex of the graph.
+        Empty when the vertex ids are distinct and every edge and source names one.
         """
         ids = self.base._id_set
-        if ids.issuperset(self.sources.values()):
+        if len(ids) == len(self.base.vertices) and ids.issuperset(self.sources.values()):
             for src, dst, _ in self.base.edges:  # 0.6 µs cheaper than all() over a generator
                 if src not in ids or dst not in ids:
                     break
             else:
                 return ()
-        return tuple(p.detail for p in self._violations if p.invariant.startswith("dangling"))
+        faults = ("duplicate vertex id", "dangling")  # edge endpoint or source
+        return tuple(p.detail for p in self._violations if p.invariant.startswith(faults))
 
     @_cached
     def _violations(self) -> tuple[Violation, ...]:
@@ -380,22 +377,21 @@ def find_isomorphism(g: MsGraph, h: MsGraph) -> dict[str, str] | None:
     The bijection must preserve node labels, the edge multiset, and every
     source label.  Backtracking with pruning on (node label, source labels,
     degree profile): a label names one vertex, so each source-named vertex
-    has a single candidate and is mapped first.  A dangling edge or source,
-    or a repeated vertex id, makes unequal graphs not isomorphic.  Graphs
-    above ``ISO_VERTEX_LIMIT`` vertices raise CapacityError.
+    has a single candidate and is mapped first.  A graph with an id that
+    names no vertex or more than one (a dangling edge or source, a repeated
+    vertex id) is isomorphic only to an equal graph.  Graphs above
+    ``ISO_VERTEX_LIMIT`` vertices raise CapacityError.
     """
     n_g, n_h = len(g.base.vertices), len(h.base.vertices)
     if n_g > ISO_VERTEX_LIMIT or n_h > ISO_VERTEX_LIMIT:
         raise CapacityError(
             f"isomorphism search capped at {ISO_VERTEX_LIMIT} vertices; got {max(n_g, n_h)}"
         )
-    if n_g != n_h or len(g.base.edges) != len(h.base.edges):
-        return None
-    if g.tau != h.tau:
+    if n_g != n_h or len(g.base.edges) != len(h.base.edges) or g.tau != h.tau:
         return None
     if g == h:
         return {v.id: v.id for v in g.base.vertices}
-    if g._dangling or h._dangling or len(g.base._id_set) < n_g or len(h.base._id_set) < n_h:
+    if g._unresolved or h._unresolved:
         return None
 
     sig_g, sig_h = _signatures(g), _signatures(h)

@@ -30,6 +30,39 @@ def make_lexicon() -> dict[str, AsGraph]:
     }
 
 
+def _slot_rename_lexicon(rename: dict[str, str], argument_type: dict) -> dict:
+    """A lexicon document: f's slot s requests ``argument_type`` and renames
+    the argument's sources by ``rename``; the lexeme a has that type."""
+    a_vertices = [{"id": "x", "label": "a"}] + [{"id": label} for label in argument_type]
+    return {
+        "f": {
+            "graph": {
+                "vertices": [{"id": "r", "label": "f"}, {"id": "s"}],
+                "edges": [],
+                "sources": {"rt": "r", "s": "s"},
+            },
+            "type": {"s": {"type": argument_type, "rename": rename}},
+        },
+        "a": {
+            "graph": {
+                "vertices": a_vertices,
+                "edges": [],
+                "sources": {"rt": "x", **{label: label for label in argument_type}},
+            },
+            "type": argument_type,
+        },
+    }
+
+
+# Slot renames that name the root label or the empty label: a reader that
+# accepted them left app_s(f, a) to fail with a bare ValueError.
+SLOT_RENAME_LEXICONS = (
+    _slot_rename_lexicon({"rt": "z"}, {}),
+    _slot_rename_lexicon({"o": "rt"}, {"o": {"type": {}}}),
+    _slot_rename_lexicon({"o": ""}, {"o": {"type": {}}}),
+)
+
+
 @pytest.fixture
 def lexicon() -> dict[str, AsGraph]:
     return make_lexicon()

@@ -1,7 +1,10 @@
 """Graph types, the apply operation's condition ladder, and term evaluation."""
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from amalgam import (
     App,
@@ -17,6 +20,8 @@ from amalgam import (
     RELAXED_STRICT,
     RenameCollisionError,
     Slot,
+    GraphError,
+    SchemaError,
     Undefined,
     apply,
     build_graph,
@@ -24,8 +29,10 @@ from amalgam import (
     format_term,
     format_type,
     isomorphic,
+    parse_lexicon,
 )
 from amalgam.algebra import type_rekey, type_remove
+from conftest import SLOT_RENAME_LEXICONS
 
 NESTED = GraphType({"q": Slot()})
 
@@ -68,6 +75,12 @@ def test_graph_type_domain():
 def test_slot_rename_must_be_injective():
     with pytest.raises(ValueError):
         Slot(rename={"a": "x", "b": "x"})
+
+
+@pytest.mark.parametrize("rename", [{"rt": "z"}, {"o": "rt"}, {"": "z"}, {"o": ""}])
+def test_slot_rename_names_neither_the_root_nor_the_empty_label(rename):
+    with pytest.raises(ValueError, match="cannot name 'rt' or the empty label"):
+        Slot(rename=rename)
 
 
 def test_type_remove():
@@ -361,3 +374,67 @@ def test_evaluate_argument_failure_propagates(lexicon):
     assert isinstance(out, Undefined)
     assert out.subterm == "app_z(raven,raven)"
     assert out.condition == "condition 1"
+
+
+# --------------------------------------------------------------------------
+# evaluation over generated lexicons
+
+_LEXEMES = ("f", "g", "a")
+_SLOTS = ("s", "o")
+_RENAME_LABELS = ("s", "o", "z", "rt", "")
+
+
+@st.composite
+def lexicon_documents(draw):
+    """Small lexicon documents, valid except perhaps for their slot renames."""
+    doc = {}
+    for name in _LEXEMES:
+        ids = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+        vertex = st.sampled_from(ids)
+        vertices = []
+        for v in ids:
+            label = draw(st.sampled_from((None, "x", "y")))
+            vertices.append({"id": v} if label is None else {"id": v, "label": label})
+        edge = st.fixed_dictionaries({"from": vertex, "to": vertex, "label": st.just("e")})
+        opens = draw(st.lists(st.sampled_from(_SLOTS), unique=True))
+        requested = st.sampled_from([{}] + [{s: {"type": {}}} for s in _SLOTS])
+        renames = st.dictionaries(
+            st.sampled_from(_RENAME_LABELS), st.sampled_from(_RENAME_LABELS), max_size=2
+        )
+        doc[name] = {
+            "graph": {
+                "vertices": vertices,
+                "edges": draw(st.lists(edge, max_size=2)),
+                "sources": {"rt": draw(vertex), **{s: draw(vertex) for s in opens}},
+            },
+            "type": {s: {"type": draw(requested), "rename": draw(renames)} for s in opens},
+        }
+    return doc
+
+
+_TERMS = st.recursive(
+    st.sampled_from(_LEXEMES).map(Leaf),
+    lambda inner: st.builds(App, st.sampled_from(_SLOTS), inner, inner),
+    max_leaves=4,  # so at most 3 applications deep
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(lexicon_documents(), st.lists(_TERMS, min_size=1, max_size=4))
+@example(SLOT_RENAME_LEXICONS[0], [App("s", Leaf("f"), Leaf("a"))])
+@example(SLOT_RENAME_LEXICONS[1], [App("s", Leaf("f"), Leaf("a"))])
+@example(SLOT_RENAME_LEXICONS[2], [App("s", Leaf("f"), Leaf("a"))])
+def test_evaluation_gives_a_value_or_a_graph_error(doc, terms):
+    # A lexicon the reader accepts never makes evaluation leak an exception
+    # that is not a GraphError, in any mode.
+    try:
+        lexicon = parse_lexicon(json.dumps(doc))
+    except SchemaError:
+        return
+    for term in terms:
+        for mode in ApplyMode:
+            try:
+                out = evaluate(term, lexicon, mode)
+            except GraphError:
+                continue
+            assert isinstance(out, (AsGraph, Undefined))

@@ -21,6 +21,7 @@ from amalgam import (
 )
 from amalgam import campaigns, cli
 from amalgam.cli import build_parser, main
+from conftest import SLOT_RENAME_LEXICONS
 
 REFLEXIVE = "app_s(app_o(wash,self),raven)"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -93,6 +94,18 @@ def test_eval_hard_errors_exit_2(capsys, lexicon_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("doc", SLOT_RENAME_LEXICONS, ids=["rt-key", "rt-value", "empty-value"])
+def test_eval_slot_rename_of_the_root_or_empty_label_is_a_data_error(capsys, tmp_path, doc):
+    path = tmp_path / "lexicon.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--lexicon", str(path), "--term", "app_s(f, a)")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: lexicon['f'].type['s']: slot rename map cannot name 'rt' or the empty label\n"
+    )
 
 
 def test_eval_term_syntax_error(capsys, lexicon_path):

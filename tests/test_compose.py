@@ -366,6 +366,23 @@ def test_parallel_compose_names_a_missing_vertex():
             parallel_compose(left, right)
 
 
+def test_every_composition_refuses_a_repeated_vertex_id():
+    # Two vertices share the id "p", so the source "a" names two vertices.
+    # Every entry point refuses it, in either operand order, in validate's
+    # words; unrefused, the result depended on the order.
+    g = MsGraph(BaseGraph((Vertex("p", "L"), Vertex("p", "M"))), {"a": "p"})
+    h = build_graph(["x"], [], {"a": "x"})
+    calls = [
+        (compose, left, right)
+        for compose in (parallel_compose, parallel_compose_classic, compose_disjoint)
+        for left, right in ((g, h), (h, g))
+    ]
+    for compose, left, right in calls + [(disjoint_copy, g, h)]:
+        with pytest.raises(UnknownVertexError) as err:
+            compose(left, right)
+        assert str(err.value) == "vertex id 'p' appears twice", compose.__name__
+
+
 # Operands for the operand rule, all s-graphs so that the glue-based
 # composition reaches its check too.  Some share the id "p".
 _CLEAN_OPERANDS = (
@@ -383,6 +400,11 @@ _DANGLING_OPERANDS = (
 
 def _missing(g: MsGraph) -> list[str]:
     return [v.detail for v in validate(g) if v.invariant.startswith("dangling")]
+
+
+def _id_faults(g: MsGraph) -> list[str]:
+    """validate's details for each id that names no vertex or more than one."""
+    return [v.detail for v in validate(g) if v.invariant.startswith(("dangling", "duplicate"))]
 
 
 def test_every_composition_refuses_a_dangling_operand():
@@ -420,9 +442,30 @@ def rough_graphs(draw):
     return MsGraph(BaseGraph(vertices, tuple(edges)), sources)
 
 
+def _refuses_an_id(compose, g: MsGraph, h: MsGraph) -> bool:
+    """True when ``compose(g, h)`` raises UnknownVertexError, False when it
+    returns or raises another GraphError."""
+    try:
+        compose(g, h)
+    except UnknownVertexError:
+        return True
+    except GraphError:
+        pass
+    return False
+
+
 @settings(deadline=None, max_examples=300)
 @given(rough_graphs(), rough_graphs())
 def test_rough_operands_give_a_result_or_a_graph_error(g, h):
+    # Every entry point refuses an unresolved id in one operand order exactly
+    # when it does in the other, and (past the glue oracle's s-graph check)
+    # exactly when validate finds an id fault in either operand.
+    faulty = bool(_id_faults(g) or _id_faults(h))
+    for compose in (parallel_compose, parallel_compose_classic, compose_disjoint):
+        refused = _refuses_an_id(compose, g, h)
+        assert refused == _refuses_an_id(compose, h, g), compose.__name__
+        if compose is not parallel_compose_classic or g.is_sgraph() and h.is_sgraph():
+            assert refused == faulty, compose.__name__
     calls = (
         lambda: parallel_compose(g, h),
         lambda: parallel_compose_classic(g, h),

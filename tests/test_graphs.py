@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import pickle
 
 import pytest
@@ -45,6 +46,12 @@ def test_base_graph_vertex_accessors():
     assert base.vertex_ids() == ("a", "b")
     assert base.has_vertex("a") and not base.has_vertex("c")
     assert base.label_of("b") == "B"
+
+
+def test_vertex_ids_name_each_id_once():
+    # A repeated id (which validate refuses) is listed once, at its first place.
+    base = BaseGraph((Vertex("b"), Vertex("a"), Vertex("b", "B")))
+    assert base.vertex_ids() == ("b", "a")
 
 
 def test_label_of_unknown_vertex_raises():
@@ -187,3 +194,28 @@ def test_validate_reports_each_violation_class():
 def test_validate_accepts_well_formed(doubly_sourced):
     assert validate(doubly_sourced) == []
     assert validate(MsGraph()) == []
+
+
+def test_id_verdict_lists_validates_id_faults_in_order():
+    # Every graph of a small rough population: ids p and q, repeats allowed,
+    # up to 3 vertices; at most 2 edges and 2 sources, whose ends may name
+    # the missing "ghost".  The empty source label adds a fault that is not
+    # about ids.  The cached verdict (fast path first) must equal
+    # validate's id faults, in validate's order.
+    id_faults = {"duplicate vertex id", "dangling edge endpoint", "dangling source"}
+    ends = ("p", "q", "ghost")
+    arcs = [Edge(a, b, "e") for a in ends for b in ends]
+    id_lists = [ids for n in range(4) for ids in itertools.product(("p", "q"), repeat=n)]
+    edge_sets = [es for m in range(3) for es in itertools.combinations_with_replacement(arcs, m)]
+    source_maps = [
+        {a: v for a, v in zip(("a", ""), slots) if v is not None}
+        for slots in itertools.product((None,) + ends, repeat=2)
+    ]
+    faulty = 0
+    for ids, edges, sources in itertools.product(id_lists, edge_sets, source_maps):
+        g = MsGraph(BaseGraph(tuple(Vertex(v) for v in ids), edges), sources)
+        verdict = g._unresolved
+        assert list(verdict) == [p.detail for p in validate(g) if p.invariant in id_faults], g
+        faulty += bool(verdict)
+    assert (len(id_lists), len(edge_sets), len(source_maps)) == (15, 55, 16)
+    assert 0 < faulty < 15 * 55 * 16

@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or a script imports is used in that file.
 
-The modules are read with ``ast``, not imported.  ``__init__.py`` is left
+The files are read with ``ast``, not imported.  ``__init__.py`` is left
 out: it imports names only to export them.
 """
 from __future__ import annotations
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "amalgam"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "amalgam"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _imported_and_used(path: Path) -> tuple[dict[str, int], set[str]]:
@@ -30,7 +32,8 @@ def _imported_and_used(path: Path) -> tuple[dict[str, int], set[str]]:
 
 
 def test_the_package_has_modules_to_check():
-    assert {p.name for p in MODULES} >= {"algebra.py", "cli.py", "compose.py", "graphs.py"}
+    names = {p.name for p in MODULES}
+    assert names >= {"algebra.py", "cli.py", "compose.py", "graphs.py", "regenerate_fixtures.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -329,10 +329,10 @@ def test_lexicon_round_trip_matches_fixture(fixtures_dir):
 
 def test_regenerated_fixtures_match_disk(fixtures_dir):
     # The script rebuilds every fixture from the library; --check fails on
-    # any byte that differs from the files on disk.
+    # any byte that differs from the files on disk.  It finds the package
+    # from a fresh checkout, with no PYTHONPATH or install.
     root = fixtures_dir.parent
-    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, str(root / "scripts" / "regenerate_fixtures.py"), "--check"],
         env=env,
