@@ -46,7 +46,10 @@ def _read(path: str) -> str:
 
 def _emit_graph(g: MsGraph, fmt: str) -> None:
     text = export_dot(g) if fmt == "dot" else serialize_graph(g)
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as err:  # DOT keeps non-ASCII text, JSON escapes it
+        raise SchemaError(f"stdout cannot encode the output: {err}") from err
 
 
 def _count(text: str) -> int:
@@ -114,7 +117,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    sys.stdout.write(export_dot(parse_graph(_read(args.graph))))
+    _emit_graph(parse_graph(_read(args.graph)), "dot")
     return 0
 
 

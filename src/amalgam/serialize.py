@@ -15,11 +15,13 @@ reports its entries in document order.  Each value's shape is one inline
 test; the helper that words the error runs only when it fails.  Paths are
 plain strings, built per lexicon entry and per nested type, and for a vertex,
 edge or source only to word an error.  The fuzz tests hold the earlier,
-helper-per-value reader as the reference the readers must match.
+helper-per-value reader as the reference the readers must match, and the
+earlier term parser, with its hand-written scanners, as ``parse_term``'s.
 """
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
@@ -34,6 +36,8 @@ class SchemaError(GraphError):
 
 
 class TermSyntaxError(GraphError):
+    """Term text that ``parse_term`` cannot read; ``position`` is a character offset."""
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
@@ -280,73 +284,51 @@ def parse_lexicon(text: str) -> dict[str, AsGraph]:
 # ---------------------------------------------------------------------------
 # term text
 
-def _ident_char(c: str) -> bool:
-    return c.isascii() and (c.isalnum() or c == "_")
+_SPACE = re.compile(r"\s*")  # what str.isspace accepts
+_IDENT = re.compile(r"[A-Za-z0-9_]*")
 
 
 def parse_term(text: str) -> Term:
     """Parse ``lexeme`` or ``app_<label>(term, term)`` with arbitrary whitespace.
 
+    An identifier is ASCII letters, digits and ``_``, and does not start with
+    a digit.  Whitespace is anything ``str.isspace`` accepts, Unicode spaces
+    included.  ``app_<label>`` not followed by ``(`` is a lexeme.
     Applications may nest at most 256 deep; a deeper term raises
     TermSyntaxError.
     """
-    pos = 0
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def read_ident() -> tuple[str, int]:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < len(text) and _ident_char(text[pos]):
-            pos += 1
-        ident = text[start:pos]
-        if not ident:
-            raise TermSyntaxError("expected an identifier", start)
-        if ident[0].isdigit():
-            raise TermSyntaxError(f"identifier {ident!r} may not start with a digit", start)
-        return ident, start
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text) or text[pos] != ch:
-            raise TermSyntaxError(f"expected {ch!r}", pos)
-        pos += 1
-
-    def term(depth: int) -> Term:
-        nonlocal pos
-        ident, start = read_ident()
-        if ident.startswith("app_"):
-            label = ident[4:]
-            save = pos
-            skip_ws()
-            if pos < len(text) and text[pos] == "(":
-                if not label or label[0].isdigit():
-                    raise TermSyntaxError(f"bad apply label {label!r}", start)
-                if label == ROOT_LABEL:
-                    raise TermSyntaxError("cannot apply at the root label", start)
-                if depth == _TERM_DEPTH_LIMIT:
-                    raise TermSyntaxError(
-                        f"applications nest deeper than {_TERM_DEPTH_LIMIT} levels", start
-                    )
-                pos += 1
-                functor = term(depth + 1)
-                expect(",")
-                argument = term(depth + 1)
-                expect(")")
-                return App(label, functor, argument)
-            pos = save  # plain lexeme that happens to start with app_
-        return Leaf(ident)
-
-    result = term(0)
-    skip_ws()
+    result, pos = _term(text, 0, 0)
     if pos != len(text):
         raise TermSyntaxError("unexpected trailing input", pos)
     return result
+
+
+def _term(text: str, pos: int, depth: int) -> tuple[Term, int]:
+    """The term after any whitespace at ``pos``, and where the whitespace after it ends."""
+    start = _SPACE.match(text, pos).end()
+    end = _IDENT.match(text, start).end()
+    ident = text[start:end]
+    if not ident:
+        raise TermSyntaxError("expected an identifier", start)
+    if ident[0].isdigit():
+        raise TermSyntaxError(f"identifier {ident!r} may not start with a digit", start)
+    pos = _SPACE.match(text, end).end()
+    if not (ident.startswith("app_") and text.startswith("(", pos)):
+        return Leaf(ident), pos
+    label = ident[4:]
+    if not label or label[0].isdigit():
+        raise TermSyntaxError(f"bad apply label {label!r}", start)
+    if label == ROOT_LABEL:
+        raise TermSyntaxError("cannot apply at the root label", start)
+    if depth == _TERM_DEPTH_LIMIT:
+        raise TermSyntaxError(f"applications nest deeper than {_TERM_DEPTH_LIMIT} levels", start)
+    functor, pos = _term(text, pos + 1, depth + 1)
+    if not text.startswith(",", pos):
+        raise TermSyntaxError("expected ','", pos)
+    argument, pos = _term(text, pos + 1, depth + 1)
+    if not text.startswith(")", pos):
+        raise TermSyntaxError("expected ')'", pos)
+    return App(label, functor, argument), _SPACE.match(text, pos + 1).end()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from amalgam import (
     check_composition_equivalence,
     count_graphs,
     enumerate_graphs,
-    graph_to_document,
 )
 
 SMALL = EnumerationBounds(max_vertices=2, max_edges=1, sgraphs_only=True)

@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from conftest import SLOT_RENAME_LEXICONS
 
 REFLEXIVE = "app_s(app_o(wash,self),raven)"
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 @pytest.fixture
@@ -308,6 +312,46 @@ def test_dot_over_long_integer(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: JSON integer has too many digits to decode")
+
+
+def entry_point(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -m amalgam.cli`` in a fresh process whose stdout encodes UTF-8.
+
+    In-process runs cannot show an encoding fault: capsys's stdout takes any str.
+    """
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "amalgam.cli", *argv],
+        env=env, capture_output=True, encoding="utf-8", timeout=60,
+    )
+
+
+def test_entry_point_writes_json_and_dot(lexicon_path, fixtures_dir):
+    done = entry_point("eval", "--lexicon", lexicon_path, "--term", REFLEXIVE)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert parse_graph(done.stdout).tau == {"rt"}
+    done = entry_point("dot", str(fixtures_dir / "one_vertex_sources_ab.json"))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert '"u" [label="A, B"];' in done.stdout
+
+
+def test_output_stdout_cannot_encode_is_a_data_error(tmp_path):
+    # A lone surrogate is valid JSON and a valid id or label; the JSON writer
+    # escapes it, but DOT text carries it as is and UTF-8 cannot encode it.
+    lone = "\ud800"
+    graph = {"vertices": [{"id": lone, "label": "x"}], "edges": [], "sources": {"rt": lone}}
+    lexeme = {"vertices": [{"id": "v", "label": lone}], "edges": [], "sources": {"rt": "v"}}
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    (tmp_path / "lexicon.json").write_text(json.dumps({"a": {"graph": lexeme, "type": {}}}))
+    for argv in (
+        ["dot", "g.json"],
+        ["compose", "--format", "dot", "g.json", "g.json"],
+        ["eval", "--lexicon", "lexicon.json", "--term", "a", "--format", "dot"],
+    ):
+        done = entry_point(*(str(tmp_path / a) if a.endswith(".json") else a for a in argv))
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr.startswith("error: stdout cannot encode the output: ")
 
 
 def test_check_equivalence_tiny(capsys):

@@ -1,4 +1,4 @@
-"""Every name a module of the package or a script imports is used in that file.
+"""Every name a module of the package, a script or a test file imports is used in that file.
 
 The files are read with ``ast``, not imported.  ``__init__.py`` is left
 out: it imports names only to export them.
@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "amalgam"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 MODULES += sorted((ROOT / "scripts").glob("*.py"))
+MODULES += sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported_and_used(path: Path) -> tuple[dict[str, int], set[str]]:
@@ -33,7 +34,10 @@ def _imported_and_used(path: Path) -> tuple[dict[str, int], set[str]]:
 
 def test_the_package_has_modules_to_check():
     names = {p.name for p in MODULES}
-    assert names >= {"algebra.py", "cli.py", "compose.py", "graphs.py", "regenerate_fixtures.py"}
+    assert names >= {
+        "algebra.py", "cli.py", "compose.py", "graphs.py", "regenerate_fixtures.py",
+        "conftest.py", "test_imports.py",
+    }
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -7,23 +7,32 @@ Both read the same JSON text: ``parse_graph`` and ``parse_lexicon`` the text
 itself, the reference ``json.loads`` of it.  For every document the readers
 must return equal values, or raise the same exception type with the same
 message.
+
+The term parser is checked the same way, against the earlier parser with its
+hand-written scanners (``reference_parse_term``): for every text both return
+equal terms, or raise TermSyntaxError with the same message and position.
 """
 from __future__ import annotations
 
 import copy
 import json
+import sys
 from collections import Counter
 from typing import Any
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from amalgam import (
+    App,
     AsGraph,
     EnumerationBounds,
     GraphType,
+    Leaf,
+    ROOT_LABEL,
     SchemaError,
     Slot,
+    Term,
     TermSyntaxError,
     build_graph,
     count_graphs,
@@ -33,7 +42,8 @@ from amalgam import (
     parse_lexicon,
     parse_term,
 )
-from amalgam.algebra import _TYPE_DEPTH_LIMIT
+from amalgam.algebra import _TERM_DEPTH_LIMIT, _TYPE_DEPTH_LIMIT
+from amalgam.serialize import _IDENT, _SPACE
 from conftest import FIXTURES
 
 # ---------------------------------------------------------------------------
@@ -151,6 +161,79 @@ def assert_readers_agree(read, reference, text) -> str:
     got, expected = outcome(read, text), outcome(reference, text)
     assert got == expected
     return "accepted" if got[0] == "value" else "refused"
+
+# ---------------------------------------------------------------------------
+# the reference term parser
+
+def _ident_char(c: str) -> bool:
+    return c.isascii() and (c.isalnum() or c == "_")
+
+
+def reference_parse_term(text: str) -> Term:
+    """Parse ``lexeme`` or ``app_<label>(term, term)`` with arbitrary whitespace.
+
+    Applications may nest at most 256 deep; a deeper term raises
+    TermSyntaxError.
+    """
+    pos = 0
+
+    def skip_ws() -> None:
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def read_ident() -> tuple[str, int]:
+        nonlocal pos
+        skip_ws()
+        start = pos
+        while pos < len(text) and _ident_char(text[pos]):
+            pos += 1
+        ident = text[start:pos]
+        if not ident:
+            raise TermSyntaxError("expected an identifier", start)
+        if ident[0].isdigit():
+            raise TermSyntaxError(f"identifier {ident!r} may not start with a digit", start)
+        return ident, start
+
+    def expect(ch: str) -> None:
+        nonlocal pos
+        skip_ws()
+        if pos >= len(text) or text[pos] != ch:
+            raise TermSyntaxError(f"expected {ch!r}", pos)
+        pos += 1
+
+    def term(depth: int) -> Term:
+        nonlocal pos
+        ident, start = read_ident()
+        if ident.startswith("app_"):
+            label = ident[4:]
+            save = pos
+            skip_ws()
+            if pos < len(text) and text[pos] == "(":
+                if not label or label[0].isdigit():
+                    raise TermSyntaxError(f"bad apply label {label!r}", start)
+                if label == ROOT_LABEL:
+                    raise TermSyntaxError("cannot apply at the root label", start)
+                if depth == _TERM_DEPTH_LIMIT:
+                    raise TermSyntaxError(
+                        f"applications nest deeper than {_TERM_DEPTH_LIMIT} levels", start
+                    )
+                pos += 1
+                functor = term(depth + 1)
+                expect(",")
+                argument = term(depth + 1)
+                expect(")")
+                return App(label, functor, argument)
+            pos = save  # plain lexeme that happens to start with app_
+        return Leaf(ident)
+
+    result = term(0)
+    skip_ws()
+    if pos != len(text):
+        raise TermSyntaxError("unexpected trailing input", pos)
+    return result
+
+
 
 # ---------------------------------------------------------------------------
 # clean failures
@@ -408,7 +491,53 @@ def test_term_text_raises_only_term_syntax_errors(text):
 @given(st.integers(min_value=0, max_value=1200), TERM_PIECES)
 def test_deep_term_text_raises_only_term_syntax_errors(depth, filler):
     for text in ("app_s(" * depth + filler + ",a)" * depth, "(" * depth + filler):
-        try:
-            parse_term(text)
-        except TermSyntaxError:
-            pass
+        assert_term_parsers_agree(text)
+
+
+def term_outcome(parse, text):
+    """What ``parse`` makes of ``text``: ("value", term) or (message, position)."""
+    try:
+        return "value", parse(text)
+    except TermSyntaxError as err:
+        return str(err), err.position
+
+
+def assert_term_parsers_agree(text) -> str:
+    got = term_outcome(parse_term, text)
+    assert got == term_outcome(reference_parse_term, text)
+    return type(got[1]).__name__ if got[0] == "value" else "refused"
+
+
+# Whitespace outside ASCII, a character that is neither whitespace nor part of
+# an identifier, and a whole application, on top of TERM_PIECES.
+MORE_TERM_PIECES = st.one_of(
+    TERM_PIECES, st.sampled_from(["\x1c", "\u3000", "\xa0", "app_o(a,b)", "$"])
+)
+
+
+def test_term_parser_agrees_with_the_reference():
+    kinds: Counter = Counter()
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(MORE_TERM_PIECES, max_size=14).map("".join))
+    @example("app_s(app_o(wash, self), raven)")
+    @example("\u3000app_o\xa0(a\x1c,\u2003b)\n")
+    @example("app_ (a,b)")
+    @example("app_rt(a,b)")
+    @example("app_1x(a,b)")
+    @example("1x")
+    @example("a $")
+    @example("app_s(a b)")
+    @example("app_s(a,b")
+    def agree(text):
+        kinds[assert_term_parsers_agree(text)] += 1
+
+    agree()
+    # Agreement means little unless texts often parse, as applications too.
+    assert min(kinds["App"], kinds["Leaf"], kinds["refused"]) >= 5, kinds
+
+
+def test_the_scanners_match_str_isspace_and_identifier_characters():
+    chars = [chr(i) for i in range(sys.maxunicode + 1)]
+    assert [c for c in chars if bool(_SPACE.fullmatch(c)) != c.isspace()] == []
+    assert [c for c in chars if bool(_IDENT.fullmatch(c)) != _ident_char(c)] == []
