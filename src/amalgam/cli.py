@@ -47,6 +47,10 @@ def _read(path: str) -> str:
 def _emit_graph(g: MsGraph, fmt: str) -> None:
     text = export_dot(g) if fmt == "dot" else serialize_graph(g)
     try:
+        if fmt == "dot":
+            # Strict, since stdout's surrogateescape under the C locale would
+            # write a lone surrogate from U+DC80-U+DCFF as a raw byte.
+            text.encode("utf-8")
         sys.stdout.write(text)
     except UnicodeEncodeError as err:  # DOT keeps non-ASCII text, JSON escapes it
         raise SchemaError(f"stdout cannot encode the output: {err}") from err

@@ -7,11 +7,12 @@ a cross-section picks one representative per class, and every class
 collapses onto its representative.
 
 Only vertices named by a shared label can merge, so ``compose_disjoint``
-closes the relation over just those vertices (every other vertex is a
-singleton class) and rebuilds the result in one pass over the operands,
-reusing every vertex and edge the merge leaves alone.  ``quotient`` keeps
-the dense construction over the whole disjoint union; it is the reference
-the sparse core is tested against.
+builds classes of just those vertices: each shared label joins the class of
+its vertex in one operand with that of its vertex in the other.  It then
+rebuilds the result in one pass over the operands, reusing every vertex and
+edge the merge leaves alone.  ``merge_relation``, ``equivalence_closure`` and
+``quotient`` are the dense reference construction over the whole disjoint
+union: the core calls none of them, and the tests check it against them.
 
 One operand rule holds for every composition: an operand with a repeated
 vertex id, or with an edge endpoint or a source that names no vertex of its
@@ -25,7 +26,7 @@ independent reference implementation for cross-checking.
 """
 from __future__ import annotations
 
-from typing import Container, Iterable
+from typing import Container, Iterable, Mapping
 
 from .graphs import BaseGraph, Edge, GraphError, MsGraph, UnknownVertexError, Vertex
 
@@ -79,15 +80,20 @@ def disjoint_copy(h: MsGraph, avoid: MsGraph | Container[str]) -> MsGraph:
     return MsGraph(BaseGraph(vertices, edges), sources)
 
 
+def _overlap(g_ids: frozenset[str], h_ids: frozenset[str]) -> VertexOverlapError:
+    return VertexOverlapError(f"inputs share vertex ids: {sorted(g_ids & h_ids)}")
+
+
 def merge_relation(g: MsGraph, h_prime: MsGraph) -> tuple[tuple[str, str], ...]:
     """Vertex pairs that a shared source label forces together.
 
     Inputs must be vertex-disjoint.  One pair per shared label, in sorted
-    label order.
+    label order.  Part of the dense reference; ``compose_disjoint`` does not
+    call it.
     """
     g_ids, h_ids = g.base._id_set, h_prime.base._id_set
     if not g_ids.isdisjoint(h_ids):
-        raise VertexOverlapError(f"inputs share vertex ids: {sorted(g_ids & h_ids)}")
+        raise _overlap(g_ids, h_ids)
     g_sources, h_sources = g.sources, h_prime.sources
     return tuple([(g_sources[a], h_sources[a]) for a in sorted(g.tau & h_prime.tau)])
 
@@ -103,7 +109,8 @@ def equivalence_closure(
     in the universe order of their first member, and members in universe
     order.  The representative is the smallest id from ``preferred`` in the
     class, else the smallest id in the class.  A set or dict ``preferred``
-    is read in place, not copied.
+    is read in place, not copied.  Part of the dense reference;
+    ``compose_disjoint`` does not call it.
     """
     order = tuple(universe)
     parent = dict(zip(order, order))
@@ -142,9 +149,9 @@ def quotient(base: BaseGraph, partition: tuple[tuple[str, tuple[str, ...]], ...]
     different node labels is a conflict and raises, and an edge endpoint that
     names no vertex breaks the operand rule.
 
-    This is the dense construction: the classes cover every vertex of
-    ``base``.  ``compose_disjoint`` builds the same graph from the merged
-    vertices alone and is tested against it.
+    This is the dense reference construction: the classes cover every
+    vertex of ``base``.  ``compose_disjoint`` does not call it; it builds the
+    same graph from the merged vertices alone and is tested against it.
     """
     rep = {m: chosen for chosen, members in partition for m in members}
     size = sum(len(members) for _, members in partition)
@@ -172,6 +179,21 @@ def quotient(base: BaseGraph, partition: tuple[tuple[str, tuple[str, ...]], ...]
     return BaseGraph(vertices, edges)
 
 
+def _refuse_label_conflict(joined: Mapping[str, object], labels: dict[str, str | None]) -> None:
+    """Raise for the conflicting class of ``joined`` that comes first in ``labels``.
+
+    ``labels`` holds g's vertices, then h_prime's; members are named in that order.
+    """
+    for v in labels:
+        if v in joined:
+            members = [m for m in labels if joined.get(m) is joined[v]]
+            found = {labels[m] for m in members} - {None}
+            if len(found) > 1:
+                raise NodeLabelConflictError(
+                    f"vertices {members} carry conflicting labels {sorted(found)}"
+                )
+
+
 def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
     """Compose ``g`` with an already vertex-disjoint copy of the second operand.
 
@@ -181,49 +203,57 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
     vertex no shared label names keeps its id; each merged class becomes its
     smallest g member and is named by every label of its members.
 
-    The closure runs over the vertices named by a shared label only, in
-    g-then-h_prime order, so its classes, representatives and conflicts are
-    those of the dense closure over the whole union.  The result is then
-    built in one pass over both operands; ``quotient`` over the union gives
-    the same value.  The operand rule is checked before disjointness.
+    Each shared label, in sorted label order, joins the class of its g vertex
+    with that of its h_prime vertex.  Of the classes with two node labels, the
+    error names the one whose first member comes first in g-then-h_prime
+    vertex order, as ``quotient`` does.  The result is built in one pass over
+    both operands.  The operand rule is checked before disjointness.
     """
     _refuse_unresolved(g, h_prime)
-    pairs = merge_relation(g, h_prime)
     g_base, h_base = g.base, h_prime.base
-    if not pairs:
+    if not g_base._id_set.isdisjoint(h_base._id_set):
+        raise _overlap(g_base._id_set, h_base._id_set)
+    g_sources, h_sources = g.sources, h_prime.sources
+    shared = g.tau & h_prime.tau
+    if not shared:
         # Nothing to merge: the composition is a plain union.
         return MsGraph(
             BaseGraph(g_base.vertices + h_base.vertices, g_base.edges + h_base.edges),
-            g.sources | h_prime.sources,
+            g_sources | h_sources,
         )
 
-    g_labels, h_labels = g_base._label_map, h_base._label_map
-    g_named: set[str] = set()
-    h_named: set[str] = set()
-    for x, y in pairs:  # one loop is 0.4 µs faster than two comprehensions (3.11)
-        g_named.add(x)
-        h_named.add(y)
-    # The universe in vertex order, g's named vertices first.
-    universe = [v for v in g_labels if v in g_named] if len(g_named) > 1 else list(g_named)
-    universe += [v for v in h_labels if v in h_named] if len(h_named) > 1 else h_named
-    classes = equivalence_closure(pairs, universe, preferred=g_named)
+    joined: dict[str, tuple[list[str], list[str]]] = {}  # vertex -> (g members, h_prime members)
+    classes = []
+    for a in sorted(shared):
+        x, y = g_sources[a], h_sources[a]
+        cx = joined.get(x)
+        if cx is None:
+            cx = joined[x] = ([x], [])
+            classes.append(cx)
+        cy = joined.get(y)
+        if cy is None:
+            cx[1].append(y)
+            joined[y] = cx
+        elif cy is not cx:  # fold y's class into x's
+            joined.update(dict.fromkeys(cy[0] + cy[1], cx))
+            cx[0].extend(cy[0])
+            cx[1].extend(cy[1])
+            classes.remove(cy)
 
+    g_labels, h_labels = g_base._label_map, h_base._label_map
     moved: dict[str, str] = {}  # merged vertex -> its representative, if another
     fused: dict[str, str] = {}  # representative -> the label it gains, if any
-    for chosen, members in classes:
+    for g_members, h_members in classes:
+        chosen = min(g_members) if len(g_members) > 1 else g_members[0]  # min() of one is slow
         label = None
-        for m in members:
+        for m in g_members + h_members:
             own = g_labels[m] if m in g_labels else h_labels[m]
             if own is not None and own != label:
                 if label is not None:
-                    found = {g_labels[x] if x in g_labels else h_labels[x] for x in members}
-                    found.discard(None)
-                    raise NodeLabelConflictError(
-                        f"vertices {list(members)} carry conflicting labels {sorted(found)}"
-                    )
+                    _refuse_label_conflict(joined, g_labels | h_labels)
                 label = own
-            if m != chosen:
-                moved[m] = chosen
+            moved[m] = chosen
+        del moved[chosen]
         if label is not None and g_labels[chosen] is None:
             fused[chosen] = label
 
@@ -231,7 +261,7 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
     # vertex moves; g's vertices stay as they are unless one of them moved
     # too or gained a label.
     g_vertices = g_base.vertices
-    if fused or len(moved) > len(h_named):
+    if fused or not moved.keys().isdisjoint(g_base._id_set):
         g_vertices = tuple(
             [
                 Vertex(v.id, fused[v.id]) if v.id in fused else v
@@ -256,8 +286,8 @@ def compose_disjoint(g: MsGraph, h_prime: MsGraph) -> MsGraph:
         r = moved.get(v, v)
         prev = sources.get(a)
         if prev is not None and prev != r:
-            # Cannot happen: a shared label relates both vertices, so the
-            # closure puts them in one class.  Checked, not assumed.
+            # Cannot happen: a shared label joins both vertices into one
+            # class.  Checked, not assumed.
             raise RuntimeError(f"source {a!r} resolves to two classes after merging")
         sources[a] = r
     return MsGraph(BaseGraph(vertices, edges), sources)

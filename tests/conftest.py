@@ -10,9 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from amalgam import AsGraph, EMPTY_TYPE, GraphType, Slot, build_graph
+from amalgam import AsGraph, EMPTY_TYPE, EnumerationBounds, GraphType, Slot, build_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# 268 graphs: <=2 vertices, source labels a, b, c, node labels x or y, no
+# edges.  Their ordered pairs hold merge classes of three, node-label
+# conflicts and pairs with two conflicting classes.
+LABELLED = EnumerationBounds(
+    max_vertices=2, source_labels=("a", "b", "c"), node_labels=("x", "y"), max_edges=0
+)
 
 
 def make_lexicon() -> dict[str, AsGraph]:

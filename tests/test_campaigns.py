@@ -4,9 +4,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import types
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +33,10 @@ from amalgam import (
     count_graphs,
     enumerate_graphs,
 )
+from conftest import LABELLED
 
 SMALL = EnumerationBounds(max_vertices=2, max_edges=1, sgraphs_only=True)
+SRC = Path(__file__).resolve().parent.parent / "src"
 # 171 graphs with several labels per vertex.
 MULTI_SOURCE = EnumerationBounds(max_vertices=2, source_labels=("a", "b", "rt"), max_edges=2)
 # 7,678 graphs make 58.9M ordered pairs, over the campaigns' 4M pair budget.
@@ -398,6 +404,44 @@ def test_properties_deterministic():
     a = check_algebraic_properties(SMALL, trials=25, seed=11)
     b = check_algebraic_properties(SMALL, trials=25, seed=11)
     assert a.to_document() == b.to_document()
+
+
+HASH_SEED_PROBE = f"""
+import hashlib
+from amalgam import (
+    EnumerationBounds, GraphError, check_algebraic_properties, enumerate_graphs, parallel_compose,
+)
+digest = hashlib.sha256()
+graphs = list(enumerate_graphs({LABELLED!r}))
+for g in graphs:
+    for h in graphs:
+        try:
+            out = parallel_compose(g, h)
+            seen = out.base.vertices, out.base.edges, list(out.sources.items())
+        except GraphError as err:
+            seen = type(err).__name__, str(err)
+        digest.update(repr(seen).encode())
+report = check_algebraic_properties({SMALL!r}, trials=50, seed=3)
+digest.update(repr(report.to_document()).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_outcomes_do_not_depend_on_the_hash_seed():
+    # Every other determinism test runs in one process, so it cannot see an
+    # outcome that follows set iteration order, which str hashing sets.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", HASH_SEED_PROBE],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for seed in ("0", "1")
+    ]
+    outputs = [run.communicate(timeout=60) for run in runs]
+    assert [run.returncode for run in runs] == [0, 0], outputs
+    assert outputs[0][0] == outputs[1][0]
 
 
 def test_properties_respects_pair_budget():

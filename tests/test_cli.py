@@ -314,16 +314,20 @@ def test_dot_over_long_integer(capsys, tmp_path):
     assert err.startswith("error: JSON integer has too many digits to decode")
 
 
-def entry_point(*argv: str) -> subprocess.CompletedProcess:
+def entry_point(*argv: str, c_locale: bool = False) -> subprocess.CompletedProcess:
     """Run ``python -m amalgam.cli`` in a fresh process whose stdout encodes UTF-8.
 
-    In-process runs cannot show an encoding fault: capsys's stdout takes any str.
+    With ``c_locale`` it runs under ``LC_ALL=C`` and no encoding override, so
+    stdout writes with Python's default ``surrogateescape`` handler; the reader
+    keeps any byte that is not UTF-8 as a surrogate.  In-process runs cannot
+    show an encoding fault: capsys's stdout takes any str.
     """
-    env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update({"LC_ALL": "C"} if c_locale else {"PYTHONIOENCODING": "utf-8"})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "amalgam.cli", *argv],
-        env=env, capture_output=True, encoding="utf-8", timeout=60,
+        env=env, capture_output=True, encoding="utf-8", errors="surrogateescape", timeout=60,
     )
 
 
@@ -336,20 +340,35 @@ def test_entry_point_writes_json_and_dot(lexicon_path, fixtures_dir):
     assert '"u" [label="A, B"];' in done.stdout
 
 
-def test_output_stdout_cannot_encode_is_a_data_error(tmp_path):
-    # A lone surrogate is valid JSON and a valid id or label; the JSON writer
-    # escapes it, but DOT text carries it as is and UTF-8 cannot encode it.
-    lone = "\ud800"
+def dot_requests(tmp_path: Path, lone: str) -> list[list[str]]:
+    """The three commands that write DOT, on inputs whose id or label is ``lone``."""
     graph = {"vertices": [{"id": lone, "label": "x"}], "edges": [], "sources": {"rt": lone}}
     lexeme = {"vertices": [{"id": "v", "label": lone}], "edges": [], "sources": {"rt": "v"}}
     (tmp_path / "g.json").write_text(json.dumps(graph))
     (tmp_path / "lexicon.json").write_text(json.dumps({"a": {"graph": lexeme, "type": {}}}))
-    for argv in (
-        ["dot", "g.json"],
-        ["compose", "--format", "dot", "g.json", "g.json"],
-        ["eval", "--lexicon", "lexicon.json", "--term", "a", "--format", "dot"],
-    ):
-        done = entry_point(*(str(tmp_path / a) if a.endswith(".json") else a for a in argv))
+    g, lexicon = str(tmp_path / "g.json"), str(tmp_path / "lexicon.json")
+    return [
+        ["dot", g],
+        ["compose", "--format", "dot", g, g],
+        ["eval", "--lexicon", lexicon, "--term", "a", "--format", "dot"],
+    ]
+
+
+def test_output_stdout_cannot_encode_is_a_data_error(tmp_path):
+    # A lone surrogate is valid JSON and a valid id or label; the JSON writer
+    # escapes it, but DOT text carries it as is and UTF-8 cannot encode it.
+    for argv in dot_requests(tmp_path, "\ud800"):
+        done = entry_point(*argv)
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr.startswith("error: stdout cannot encode the output: ")
+
+
+@pytest.mark.parametrize("lone", ["\udc80", "\ud800"])
+def test_dot_output_under_the_c_locale_is_utf8_or_refused(tmp_path, lone):
+    # Under the C locale stdout's surrogateescape handler would write U+DC80
+    # as the raw byte 0x80, which is not UTF-8; every lone surrogate exits 2.
+    for argv in dot_requests(tmp_path, lone):
+        done = entry_point(*argv, c_locale=True)
         assert (done.returncode, done.stdout) == (2, ""), done.stderr
         assert done.stderr.startswith("error: stdout cannot encode the output: ")
 

@@ -25,6 +25,7 @@ from amalgam import (
     validate,
 )
 from amalgam.compose import equivalence_closure, fresh_ids, merge_relation, quotient
+from conftest import LABELLED
 
 
 @pytest.fixture
@@ -220,17 +221,15 @@ def test_composition_steps_agree_with_parallel_compose(spread, stacked):
 # --------------------------------------------------------------------------
 # the sparse core against the dense construction
 
-def _dense_compose(g: MsGraph, h_prime: MsGraph) -> MsGraph:
-    """Close over the whole disjoint union, then quotient it.
+def _dense_partition(g: MsGraph, h_prime: MsGraph) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The merge classes over the whole disjoint union, by a naive fixpoint.
 
-    The pairs and their closure are built here, by a naive fixpoint, so that
-    only ``quotient`` comes from the core under test.
+    Classes come in union order of their first member, members in union
+    order; the representative is the smallest g member, else the smallest
+    member.
     """
     pairs = [(v, h_prime.sources[a]) for a, v in g.sources.items() if a in h_prime.sources]
-    union = BaseGraph(g.base.vertices + h_prime.base.vertices, g.base.edges + h_prime.base.edges)
-    if not pairs:
-        return MsGraph(union, {**g.sources, **h_prime.sources})
-    order = union.vertex_ids()
+    order = g.base.vertex_ids() + h_prime.base.vertex_ids()
     joined = {v: {v} for v in order}  # each vertex's class so far
     changed = True
     while changed:
@@ -241,8 +240,6 @@ def _dense_compose(g: MsGraph, h_prime: MsGraph) -> MsGraph:
                 for m in merged:
                     joined[m] = merged
                 changed = True
-    # Classes in union order of their first member, members in union order;
-    # the representative is the smallest g member, else the smallest member.
     g_ids = set(g.base.vertex_ids())
     partition, placed = [], set()
     for v in order:
@@ -250,16 +247,30 @@ def _dense_compose(g: MsGraph, h_prime: MsGraph) -> MsGraph:
             members = tuple(m for m in order if m in joined[v])
             placed.update(members)
             partition.append((min([m for m in members if m in g_ids] or members), members))
+    return tuple(partition)
+
+
+def _dense_compose(g: MsGraph, h_prime: MsGraph, partition=None) -> MsGraph:
+    """Close over the whole disjoint union, then quotient it.
+
+    The pairs and their closure are built here, so that only ``quotient``
+    comes from the core under test.  ``partition`` defaults to
+    ``_dense_partition(g, h_prime)``.
+    """
+    union = BaseGraph(g.base.vertices + h_prime.base.vertices, g.base.edges + h_prime.base.edges)
+    if not g.tau & h_prime.tau:
+        return MsGraph(union, {**g.sources, **h_prime.sources})
+    partition = partition or _dense_partition(g, h_prime)
     rep = {m: chosen for chosen, members in partition for m in members}
     sources = {a: rep[v] for a, v in g.sources.items()}
     sources.update((a, rep[v]) for a, v in h_prime.sources.items())
-    return MsGraph(quotient(union, tuple(partition)), sources)
+    return MsGraph(quotient(union, partition), sources)
 
 
-def _outcome(compose, g: MsGraph, h_prime: MsGraph):
+def _outcome(compose, *operands):
     """Everything observable: vertex, edge and source order, or the error."""
     try:
-        out = compose(g, h_prime)
+        out = compose(*operands)
     except GraphError as err:
         return type(err), str(err)
     return out.base.vertices, out.base.edges, list(out.sources.items())
@@ -300,6 +311,65 @@ def graph_inputs(draw):
 def test_sparse_core_matches_dense_oracle(g, h):
     h_prime = disjoint_copy(h, g)
     assert _outcome(compose_disjoint, g, h_prime) == _outcome(_dense_compose, g, h_prime)
+
+
+def _labelled_pairs() -> list[tuple[MsGraph, MsGraph]]:
+    """Every ordered pair of ``LABELLED``, the right one a disjoint copy: 71,824 pairs."""
+    graphs = list(enumerate_graphs(LABELLED))
+    copies = [disjoint_copy(h, {"v0", "v1"}) for h in graphs]
+    return [(g, h_prime) for g in graphs for h_prime in copies]
+
+
+def test_merge_core_matches_dense_oracle_on_labelled_population():
+    kinds = {"class of three or more": 0, "conflict": 0, "two conflicting classes": 0}
+    for g, h_prime in _labelled_pairs():
+        partition = _dense_partition(g, h_prime)
+        got = _outcome(compose_disjoint, g, h_prime)
+        assert got == _outcome(_dense_compose, g, h_prime, partition)
+        labels = {v.id: v.label for v in g.base.vertices + h_prime.base.vertices}
+        conflicts = sum(len({labels[m] for m in ms} - {None}) > 1 for _, ms in partition)
+        assert (got[0] is NodeLabelConflictError) == (conflicts > 0)
+        kinds["class of three or more"] += any(len(ms) >= 3 for _, ms in partition)
+        kinds["conflict"] += conflicts > 0
+        kinds["two conflicting classes"] += conflicts > 1
+    assert all(kinds.values()), kinds
+
+
+def test_compose_names_the_conflict_first_in_vertex_order():
+    # Label a meets q's class first, but p comes first in vertex order.  p's
+    # class joins r through b and p through c; its members are named in
+    # vertex order, g's before h_prime's.
+    g = build_graph([("p", "L"), ("q", "L"), "r"], [], {"a": "q", "b": "r", "c": "p"})
+    h_prime = build_graph([("x", "M"), ("y", "M")], [], {"a": "x", "b": "y", "c": "y"})
+    for compose in (compose_disjoint, _dense_compose):
+        with pytest.raises(NodeLabelConflictError) as err:
+            compose(g, h_prime)
+        assert str(err.value) == "vertices ['p', 'r', 'y'] carry conflicting labels ['L', 'M']"
+
+
+def test_compose_chain_through_one_vertex_keeps_the_smallest_g_member():
+    # u carries A and B, so n and m merge through it.  m is the smaller id and
+    # stays, though n comes first; n's edges and source move onto m.
+    edges = [("n", "k", "e"), ("k", "n", "f")]
+    g = build_graph(["n", "m", "k"], edges, {"A": "n", "B": "m", "C": "k"})
+    h_prime = build_graph(["u"], [("u", "u", "g")], {"A": "u", "B": "u"})
+    out = compose_disjoint(g, h_prime)
+    assert out.base.vertices == (Vertex("m"), Vertex("k"))
+    assert out.base.edges == (Edge("m", "k", "e"), Edge("k", "m", "f"), Edge("m", "m", "g"))
+    assert list(out.sources.items()) == [("A", "m"), ("B", "m"), ("C", "k")]
+    assert _outcome(compose_disjoint, g, h_prime) == _outcome(_dense_compose, g, h_prime)
+
+
+def test_merge_core_calls_no_dense_reference(monkeypatch):
+    # The dense construction is the oracle, so the core must share none of it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the merge core called a reference construction")
+
+    for name in ("merge_relation", "equivalence_closure", "quotient", "parallel_compose_classic"):
+        monkeypatch.setattr(f"amalgam.compose.{name}", refuse)
+    for g, h_prime in _labelled_pairs():
+        _outcome(compose_disjoint, g, h_prime)
+        _outcome(parallel_compose, g, h_prime)
 
 
 def test_compose_disjoint_refuses_a_dangling_edge_endpoint():
