@@ -17,11 +17,26 @@ one alone does not; equal graphs agree at once, then the vertex bijection
 the construction fixes (``_witness_holds``) is tried, and the isomorphism
 search runs only when both fail, so the verdicts are those of the search.
 
-Reports are plain data and deterministic for a given (bounds, seed).
+The equivalence sweep splits its left operands into contiguous ranges, a
+few per usable CPU, run by one worker per CPU: the calling process and a
+child made with ``os.fork`` for each other CPU.  The ranges are dealt to
+the workers in turn, and the report joins the ranges' failures in range
+order.  It stays in one process on one usable CPU, where ``os.fork`` does
+not exist, and while the process runs other threads, since forking beside
+threads can deadlock.  The properties sweep runs in one process: split the
+same way, its short calls ran faster on two shared CPUs but their times
+swung with the host's other load far more than one process's do.  The
+reduction campaign draws its instances from one random stream and always
+runs in one process.
+
+Reports are plain data and deterministic for a given (bounds, seed); they
+do not depend on the number of CPUs.
 """
 from __future__ import annotations
 
+import os
 import random
+import threading
 from dataclasses import asdict, dataclass
 
 from .algebra import (
@@ -43,12 +58,14 @@ from .compose import (
     parallel_compose_classic,
 )
 from .graphs import (
+    BaseGraph,
     CapacityError,
+    Edge,
     EnumerationBounds,
     GraphError,
     MsGraph,
     ROOT_LABEL,
-    build_graph,
+    Vertex,
     enumerate_graphs,
     isomorphic,
     _count_below,
@@ -129,6 +146,102 @@ def _population(bounds: EnumerationBounds) -> tuple[list[MsGraph], list[MsGraph]
     return graphs, [disjoint_copy(h, all_ids) for h in graphs]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Ranges per worker, dealt out in turn.  A case's cost drifts along a sweep
+# (later rows hold larger graphs), so one contiguous share per worker leaves
+# the worker with the cheap end idle; dealt ranges give every worker a like
+# mix.  The deal is fixed, so which cases run in this process never changes.
+_RANGES_PER_WORKER = 16
+
+
+def _fan_out(work, n: int) -> list:
+    """``work(lo, hi)`` over contiguous ranges covering ``range(n)``, results in range order.
+
+    One worker per usable CPU, at most ``n``: this process, and a child made
+    with ``os.fork``, which inherits everything ``work`` reads, for each
+    other one.  The ranges are ``_RANGES_PER_WORKER`` per worker, at most
+    ``n``, dealt out in turn: worker k runs ranges k, k + workers, ... in
+    order, and a child pickles back its ``(range, ok, value)`` list over its
+    own pipe.  A worker stops at its first range that raises, and the error
+    of the lowest failed range is raised again here: its worker ran every
+    range it was dealt below that one, so the error does not depend on
+    timing, and it is the first one ``work(0, n)`` would raise when that
+    runs the ranges in order.  A child that exits without a result raises
+    RuntimeError.  Each pipe is read to EOF before its child is reaped, and
+    if this process raises otherwise, the children are killed, so none
+    outlives the call.  With one usable CPU, no ``os.fork``, or other
+    threads running, ``work(0, n)`` runs here alone.
+    """
+    workers = min(n, _usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [work(0, n)]
+    import pickle
+
+    count = min(n, workers * _RANGES_PER_WORKER)
+    cuts = [n * k // count for k in range(count + 1)]
+
+    def run(first: int, catch: type[BaseException]) -> list[tuple]:
+        """Ranges ``first``, ``first + workers``, ... in order, up to the first that raises."""
+        done = []
+        for k in range(first, count, workers):
+            try:
+                done.append((k, True, work(cuts[k], cuts[k + 1])))
+            except catch as err:
+                done.append((k, False, err))
+                break
+        return done
+
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    ended: list[tuple[bytes, int]] = []  # (payload, exit code) per child
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    done = run(k, BaseException)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(done, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, read))
+        done = run(0, Exception)
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children:
+            with open(read, "rb") as pipe:
+                payload = pipe.read()
+            ended.append((payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for payload, code in ended:
+        if code or not payload:
+            raise RuntimeError(f"a sweep worker exited with status {code} before its result")
+        done += pickle.loads(payload)
+    done.sort(key=lambda entry: entry[0])
+    for _, ok, value in done:
+        if not ok:
+            raise value
+    return [value for _, _, value in done]
+
+
 def _compose(g: MsGraph | None, h_prime: MsGraph | None) -> MsGraph | None:
     """``compose_disjoint(g, h_prime)``, or None for a refusal.
 
@@ -202,42 +315,46 @@ def check_composition_equivalence(bounds: EnumerationBounds | None = None) -> Ca
             "reference is undefined on multi-label graphs"
         )
     graphs, copies = _population(bounds)
-    failures: list[Failure] = []
     pair = ("left", "right")
-    for g in graphs:
-        g_sources = g.sources
-        g_tau = g.tau
-        g_ids = g.base._id_set
-        for h, h_prime in zip(graphs, copies):
-            merged, glued = _compose(g, h_prime), _glue(g, h)
-            if not _agree(merged, glued):
-                if merged is None or glued is None:
-                    refused = "merge-based" if merged is None else "glue-based"
-                    expected = "both compositions refuse a node-label conflict, or neither does"
-                    observed = f"only the {refused} composition refused"
-                else:
-                    expected = "merge-based result isomorphic to glue-based result"
-                    observed = "not isomorphic"
-                failures.append(_failure(pair, (g, h), expected, observed))
-                continue
-            if merged is None:  # both refused
-                continue
-            if merged.tau != g_tau | h.tau:
-                expected = "label set of the composition is the union of the operands'"
-                failures.append(_failure(pair, (g, h), expected, f"got {sorted(merged.tau)}"))
-            bad = [a for a in g_sources if merged.sources[a] != g_sources[a]]
-            if bad:
-                expected = "left operand's source assignments survive the composition"
-                failures.append(_failure(pair, (g, h), expected, f"labels {bad} moved"))
-            if not g_ids <= {v.id for v in merged.base.vertices}:
-                expected = "every left-operand vertex is chosen as its class representative"
-                failures.append(_failure(pair, (g, h), expected, "some left vertex was dropped"))
+
+    def rows(lo: int, hi: int) -> list[Failure]:
+        """The failures of every pair whose left operand is one of ``graphs[lo:hi]``."""
+        failures: list[Failure] = []
+        for g in graphs[lo:hi]:
+            g_sources = g.sources
+            g_tau = g.tau
+            g_ids = g.base._id_set
+            for h, h_prime in zip(graphs, copies):
+                merged, glued = _compose(g, h_prime), _glue(g, h)
+                if not _agree(merged, glued):
+                    if merged is None or glued is None:
+                        refused = "merge-based" if merged is None else "glue-based"
+                        expected = "both compositions refuse a node-label conflict, or neither does"
+                        observed = f"only the {refused} composition refused"
+                    else:
+                        expected = "merge-based result isomorphic to glue-based result"
+                        observed = "not isomorphic"
+                    failures.append(_failure(pair, (g, h), expected, observed))
+                    continue
+                if merged is None:  # both refused
+                    continue
+                if merged.tau != g_tau | h.tau:
+                    expected = "label set of the composition is the union of the operands'"
+                    failures.append(_failure(pair, (g, h), expected, f"got {sorted(merged.tau)}"))
+                bad = [a for a in g_sources if merged.sources[a] != g_sources[a]]
+                if bad:
+                    expected = "left operand's source assignments survive the composition"
+                    failures.append(_failure(pair, (g, h), expected, f"labels {bad} moved"))
+                if not g_ids <= {v.id for v in merged.base.vertices}:
+                    expected = "every left-operand vertex is chosen as its class representative"
+                    failures.append(_failure(pair, (g, h), expected, "some left vertex was dropped"))
+        return failures
 
     return CampaignReport(
         campaign="composition-equivalence",
         parameters={"bounds": asdict(bounds)},
         cases_run=len(graphs) ** 2,
-        failures=tuple(failures),
+        failures=tuple(f for part in _fan_out(rows, len(graphs)) for f in part),
     )
 
 
@@ -256,20 +373,25 @@ def _random_small_type(rng: random.Random, depth: int) -> GraphType:
     return GraphType({b: Slot(_random_small_type(rng, depth - 1)) for b in labels})
 
 
+_ROOTED_IDS = {prefix: (f"{prefix}0", f"{prefix}1", f"{prefix}2") for prefix in ("x", "f")}
+
+
 def _random_rooted_graph(rng: random.Random, prefix: str) -> MsGraph:
     """A small graph whose root carries only the root label."""
-    extra = rng.randint(0, 2)
-    ids = [f"{prefix}{i}" for i in range(extra + 1)]
-    vertices = [(v, rng.choice(_NODE_LABEL_POOL)) for v in ids]
+    extra = rng.randrange(3)
+    ids = _ROOTED_IDS[prefix][: extra + 1]
+    vertices = tuple(Vertex(v, rng.choice(_NODE_LABEL_POOL)) for v in ids)
     sources = {ROOT_LABEL: ids[0]}
     if extra:
+        others = ids[1:]
         for lab in _SOURCE_POOL:
             if rng.random() < 0.4:
-                sources[lab] = rng.choice(ids[1:])
-    edges = []
-    for _ in range(rng.randint(0, 3)):
-        edges.append((rng.choice(ids), rng.choice(ids), rng.choice(_EDGE_LABEL_POOL)))
-    return build_graph(vertices, edges, sources)
+                sources[lab] = rng.choice(others)
+    edges = tuple(
+        Edge(rng.choice(ids), rng.choice(ids), rng.choice(_EDGE_LABEL_POOL))
+        for _ in range(rng.randrange(4))
+    )
+    return MsGraph(BaseGraph(vertices, edges), sources)
 
 
 def _random_instance(rng: random.Random) -> tuple[str, AsGraph, AsGraph]:

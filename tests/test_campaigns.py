@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 import types
 from pathlib import Path
@@ -30,6 +31,7 @@ from amalgam import (
     check_algebraic_properties,
     check_apply_reduction,
     check_composition_equivalence,
+    compose_disjoint,
     count_graphs,
     enumerate_graphs,
 )
@@ -551,6 +553,8 @@ def test_count_stops_exactly_past_its_digits(bounds):
 
 
 def count_isomorphic_calls(monkeypatch) -> list[int]:
+    """Count the campaigns' isomorphism searches; the campaigns then run in this process only."""
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 1)
     calls = [0]
     search = campaigns.isomorphic
 
@@ -611,20 +615,21 @@ def test_wrong_witness_falls_back_to_search(monkeypatch):
     assert calls[0] == n + n * (n + 1) // 2 + 10
 
 
+# Each planted composition breaks a law: dropping the right operand's edges
+# breaks commutativity, and dropping every edge whenever the right operand has
+# some breaks associativity.  Both also break merge-vs-glue equivalence.
+def lopsided(g, h_prime):
+    return compose_disjoint(g, MsGraph(BaseGraph(h_prime.base.vertices), h_prime.sources))
+
+
+def forgetful(g, h_prime):
+    out = compose_disjoint(g, h_prime)
+    return MsGraph(BaseGraph(out.base.vertices), out.sources) if h_prime.base.edges else out
+
+
 def test_witness_does_not_hide_a_commutativity_failure(monkeypatch):
-    # Each planted composition breaks a law: dropping the right operand's
-    # edges breaks commutativity, and dropping every edge whenever the right
-    # operand has some breaks associativity.  The witness path reports
-    # exactly the failures and findings the search alone finds.
-    compose = campaigns.compose_disjoint
-
-    def lopsided(g, h_prime):
-        return compose(g, MsGraph(BaseGraph(h_prime.base.vertices), h_prime.sources))
-
-    def forgetful(g, h_prime):
-        out = compose(g, h_prime)
-        return MsGraph(BaseGraph(out.base.vertices), out.sources) if h_prime.base.edges else out
-
+    # The witness path reports exactly the failures and findings the search
+    # alone finds.
     for planted, broken in ((lopsided, "failures"), (forgetful, "findings")):
         with monkeypatch.context() as m:
             m.setattr(campaigns, "compose_disjoint", planted)
@@ -633,3 +638,195 @@ def test_witness_does_not_hide_a_commutativity_failure(monkeypatch):
             search_only = check_algebraic_properties(SMALL, trials=200, seed=4)
         assert getattr(with_witness, broken)
         assert with_witness.to_document() == search_only.to_document()
+
+
+def counted_forks(monkeypatch) -> list[int]:
+    """The pid of each child the campaigns fork from now on."""
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SGRAPHS = [SMALL, dataclasses.replace(TWO_NODE_LABELS, sgraphs_only=True),
+           dataclasses.replace(MULTI_SOURCE, sgraphs_only=True)]
+
+
+@pytest.mark.parametrize("planted", [None, lopsided, forgetful],
+                         ids=["clean", "lopsided", "forgetful"])
+@pytest.mark.parametrize("bounds", SGRAPHS, ids=["small", "two-node-labels", "multi-source"])
+def test_fanned_out_reports_equal_serial_ones(monkeypatch, bounds, planted):
+    # Three workers, so two children, whatever the machine, and many ranges
+    # each: failures from several ranges must come back in serial order.
+    if planted:
+        monkeypatch.setattr(campaigns, "compose_disjoint", planted)
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 1)
+    serial = check_composition_equivalence(bounds)
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 3)
+    forks = counted_forks(monkeypatch)
+    fanned = check_composition_equivalence(bounds)
+    assert len(forks) == 2
+    assert fanned.to_document() == serial.to_document()
+    if planted and bounds.max_edges:
+        assert serial.failures
+    assert_no_child_left()
+
+
+def planted_on(monkeypatch, graphs, effect) -> None:
+    """Make compose_disjoint run ``effect()`` whenever its left operand is one of ``graphs``."""
+    def compose(g, h_prime):
+        if g in graphs:
+            effect()
+        return compose_disjoint(g, h_prime)
+
+    monkeypatch.setattr(campaigns, "compose_disjoint", compose)
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 3)
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["first-range", "last-range"])
+def test_an_error_in_any_range_is_raised_again(monkeypatch, row):
+    # The first range always runs in this process, whose error must still
+    # end both children; the last one here runs in a child.
+    def fail():
+        raise RuntimeError("planted in a range")
+
+    planted_on(monkeypatch, [list(enumerate_graphs(SMALL))[row]], fail)
+    with pytest.raises(RuntimeError) as err:
+        check_composition_equivalence(SMALL)
+    assert (type(err.value), str(err.value)) == (RuntimeError, "planted in a range")
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_raises_runtime_error(monkeypatch):
+    # Every child dies in the first range it runs; this process runs on.
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:
+            os._exit(3)
+
+    planted_on(monkeypatch, list(enumerate_graphs(SMALL)), die)
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        check_composition_equivalence(SMALL)
+    assert_no_child_left()
+
+
+def test_the_lowest_failed_range_is_raised(monkeypatch):
+    # Every range but the first fails, in every worker; the error raised is
+    # always range 1's, whichever worker got to its error first.
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 3)
+
+    def work(lo, hi):
+        if lo:
+            raise ValueError(f"range from row {lo}")
+        return []
+
+    for _ in range(5):
+        with pytest.raises(ValueError, match=r"^range from row 1$"):
+            campaigns._fan_out(work, 40)
+    assert_no_child_left()
+
+
+def test_a_worker_stops_at_its_first_error(monkeypatch):
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+    ran = []
+
+    def work(lo, hi):
+        if os.getpid() == parent:
+            ran.append(lo)
+        raise ValueError(f"range from row {lo}")
+
+    with pytest.raises(ValueError, match=r"^range from row 0$"):
+        campaigns._fan_out(work, 40)
+    assert ran == [0]
+    assert_no_child_left()
+
+
+def test_ranges_are_dealt_in_turn(monkeypatch):
+    # 32 ranges of 40 rows on two workers: this process runs the even ones,
+    # the child the odd ones, on every call.
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def work(lo, hi):
+        return [(i, os.getpid() == parent) for i in range(lo, hi)]
+
+    for _ in range(3):
+        parts = campaigns._fan_out(work, 40)
+        assert [i for part in parts for i, _ in part] == list(range(40))
+        assert [part[0][1] for part in parts] == [k % 2 == 0 for k in range(32)]
+    assert_no_child_left()
+
+
+def test_equivalence_raises_the_serial_first_error(monkeypatch):
+    # Every row but the first fails, so the ranges of every worker fail.
+    rows = list(enumerate_graphs(SMALL))
+
+    def compose(g, h_prime):
+        if g in rows[1:]:
+            raise RuntimeError(f"planted in row {rows.index(g)}")
+        return compose_disjoint(g, h_prime)
+
+    monkeypatch.setattr(campaigns, "compose_disjoint", compose)
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 1)
+    with pytest.raises(RuntimeError) as serial:
+        check_composition_equivalence(SMALL)
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 3)
+    with pytest.raises(RuntimeError) as fanned:
+        check_composition_equivalence(SMALL)
+    assert str(fanned.value) == str(serial.value) == "planted in row 1"
+    assert_no_child_left()
+
+
+def test_no_fork_beside_other_threads(monkeypatch):
+    def refuse():
+        raise AssertionError("forked beside a thread")
+
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", refuse)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        assert check_composition_equivalence(SMALL).passed
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+ONE_PROCESS_SWEEPS = f"""
+import os, sys
+sys.path.insert(0, {str(SRC)!r})
+from amalgam import EnumerationBounds, campaigns, check_algebraic_properties, check_apply_reduction
+
+def refuse():
+    raise AssertionError("forked")
+
+os.fork = refuse
+campaigns._usable_cpus = lambda: 3
+assert check_apply_reduction(trials=50, seed=1).passed
+assert check_algebraic_properties(
+    EnumerationBounds(max_vertices=2, max_edges=1, sgraphs_only=True), trials=50, seed=1
+).passed
+print(sorted({{"pickle", "multiprocessing"}} & set(sys.modules)))
+"""
+
+
+def test_properties_and_reduction_neither_fork_nor_load_pickle():
+    out = subprocess.run([sys.executable, "-c", ONE_PROCESS_SWEEPS], capture_output=True,
+                         text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
